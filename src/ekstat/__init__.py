@@ -66,7 +66,7 @@ from .mellin import (
     mellin_factorization_check,
     mellin_numeric,
 )
-from .quadrature import QuadratureRule, TensorRule, integrate_unit, jacobi_rule, tensor_integrate
+from .quadrature import QuadratureRule, jacobi_rule
 from .transforms import DerivedBetaParams, derived_beta_params, forward, inverse, jacobian
 
 __version__ = "0.1.0"

@@ -30,8 +30,11 @@ from .densities import (
 )
 from .errors import EkstatError, EvaluationError, PoleError, UsageError
 from .kober import (
-    DimParams,
+    CLASSICAL,
+    IDENTITIES,
+    PATHWAY,
     gamma_product,
+    identity_record,
     kober1_eval,
     kober2_eval,
     pathway_kober1_eval,
@@ -74,22 +77,41 @@ def parse_density(spec: str, k: int):
     raise UsageError(f"unknown density spec {spec!r}; use gamma:<shapes> or exp")
 
 
-def _classical_params(cfg) -> tuple[DimParams, ...]:
-    zetas, alphas = _floats(cfg["zeta"]), _floats(cfg["alpha"])
-    if len(zetas) != cfg["k"] or len(alphas) != cfg["k"]:
-        raise UsageError("--zeta and --alpha must list one value per dimension")
-    return tuple(DimParams(z, a) for z, a in zip(zetas, alphas))
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def _pathway_params(cfg) -> tuple[PathwayDimParams, ...]:
-    fields = {name: _floats(cfg[name]) for name in ("a", "q", "eta", "zeta")}
-    k = cfg["k"]
-    if any(len(v) != k for v in fields.values()):
-        raise UsageError("--a/--q/--eta/--zeta must list one value per dimension")
-    return tuple(
-        PathwayDimParams(fields["a"][j], fields["q"][j], fields["eta"][j], fields["zeta"][j])
-        for j in range(k)
-    )
+def _family_params(cfg, family):
+    """Parameters of ``family`` from the flags named after its fields, each
+    with one comma-separated value per dimension (scalars: one value)."""
+    values = {}
+    for name in family.fields:
+        vals = _floats(cfg[name])
+        scalar = name in family.scalars
+        if len(vals) != (1 if scalar else cfg["k"]):
+            raise UsageError(f"{_flag(name)} takes one value"
+                             + ("" if scalar else f" per dimension (k={cfg['k']})"))
+        values[name] = vals[0] if scalar else vals
+    return family.build(values)
+
+
+# every identity's parameter flags, with a family that declares each
+_IDENTITY_FLAGS = {name: rec.family for rec in IDENTITIES.values() for name in rec.family.fields}
+
+
+def _identity_params(cfg, given):
+    """The identity's mixing parameters from its own family's flags, or
+    None (the identity's defaults) when no parameter flag was given."""
+    family = identity_record(cfg["theorem"]).family
+    used = given & _IDENTITY_FLAGS.keys()
+    if not used:
+        return None
+    # a field with a built-in default (alpha_last) may be left out
+    if not used <= set(family.fields) or any(n not in given and n not in _DEFAULTS
+                                             for n in family.fields):
+        raise UsageError(f"identity {cfg['theorem']} takes {' '.join(map(_flag, family.fields))}; "
+                         f"got {' '.join(map(_flag, sorted(used)))}")
+    return _family_params(cfg, family)
 
 
 def _write_report(cfg, payload: dict, rows=None, header=None) -> None:
@@ -113,11 +135,11 @@ def _write_report(cfg, payload: dict, rows=None, header=None) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_eval(cfg) -> int:
+def _cmd_eval(cfg, given) -> int:
     kind = cfg["kind"]
     if kind not in _EVAL_FNS:
         raise UsageError(f"unknown operator kind {kind!r}")
-    params = _pathway_params(cfg) if kind.startswith("pathway") else _classical_params(cfg)
+    params = _family_params(cfg, PATHWAY if kind.startswith("pathway") else CLASSICAL)
     f = parse_density(cfg["density"], cfg["k"])
     points = [np.asarray(_floats(p)) for p in cfg["point"]]
     results = []
@@ -135,8 +157,8 @@ def _cmd_eval(cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_mellin_check(cfg) -> int:
-    params = _classical_params(cfg)
+def _cmd_mellin_check(cfg, given) -> int:
+    params = _family_params(cfg, CLASSICAL)
     f = parse_density(cfg["density"], cfg["k"])
     report = mellin.mellin_factorization_check(
         cfg["kind"], params, f, n=cfg["nodes"], tol=cfg["tol"]
@@ -156,19 +178,9 @@ def _cmd_mellin_check(cfg) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def _cmd_verify(cfg) -> int:
+def _cmd_verify(cfg, given) -> int:
     theorem, k = cfg["theorem"], cfg["k"]
-    params = None
-    if cfg.get("zeta") and cfg.get("alpha"):
-        params = _classical_params(cfg)
-    elif cfg.get("a"):
-        params = _pathway_params(cfg)
-    elif cfg.get("alphas"):
-        alphas = _floats(cfg["alphas"])
-        if cfg.get("betas"):
-            params = GenDirichletParams(alphas=alphas, betas=_floats(cfg["betas"]))
-        else:
-            params = DirichletParams(alphas=alphas, alpha_last=cfg["alpha_last"])
+    params = _identity_params(cfg, given)
     f = parse_density(cfg["density"], k) if cfg.get("density") else None
     spec = mc_oracle.make_spec(theorem, k, params=params, f=f)
     probes = [_floats(p) for p in cfg["probe"]] if cfg.get("probe") else None
@@ -200,31 +212,28 @@ def _cmd_verify(cfg) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def _cmd_sample(cfg) -> int:
+_FAMILY_FORMS = ("beta:a,b | dirichlet:a1,..;last | gen-dirichlet:a1,..;b1,.. "
+                 "| pathway:a,q,eta,zeta | gamma:shapes")
+
+
+def _cmd_sample(cfg, given) -> int:
     family = str(cfg["family"])
     n, seed, workers = cfg["n"], cfg["seed"], cfg["workers"]
     name, _, arg = family.partition(":")
-    if name == "beta":
-        a, b = _floats(arg)
-        sm = beta1_sample(BetaParams(a, b), n, seed, workers)
-    elif name == "dirichlet":
-        alphas_text, _, last_text = arg.partition(";")
-        sm = dirichlet1_sample(
-            DirichletParams(alphas=_floats(alphas_text), alpha_last=float(last_text)),
-            n, seed, workers)
-    elif name == "gen-dirichlet":
-        alphas_text, _, betas_text = arg.partition(";")
-        sm = gen_dirichlet1_sample(
-            GenDirichletParams(alphas=_floats(alphas_text), betas=_floats(betas_text)),
-            n, seed, workers)
-    elif name == "pathway":
-        a, q, eta, zeta = _floats(arg)
-        sm = pathway_sample(PathwayDimParams(a, q, eta, zeta), n, seed, workers)
-    elif name == "gamma":
-        shapes = _floats(arg)
-        sm = gamma_product(shapes).sample(n, seed, workers)
+    groups = tuple(_floats(text) for text in arg.split(";"))
+    sizes = [len(g) for g in groups]
+    if name == "beta" and sizes == [2]:
+        sm = beta1_sample(BetaParams(*groups[0]), n, seed, workers)
+    elif name == "dirichlet" and len(sizes) == 2 and sizes[1] == 1:
+        sm = dirichlet1_sample(DirichletParams(groups[0], groups[1][0]), n, seed, workers)
+    elif name == "gen-dirichlet" and len(sizes) == 2:
+        sm = gen_dirichlet1_sample(GenDirichletParams(*groups), n, seed, workers)
+    elif name == "pathway" and sizes == [4]:
+        sm = pathway_sample(PathwayDimParams(*groups[0]), n, seed, workers)
+    elif name == "gamma" and len(sizes) == 1:
+        sm = gamma_product(groups[0]).sample(n, seed, workers)
     else:
-        raise UsageError(f"unknown family {family!r}")
+        raise UsageError(f"cannot read --family {family!r}; expected {_FAMILY_FORMS}")
     header = [f"x{j+1}" for j in range(sm.dim)]
     rows = sm.data.tolist()
     payload = {"family": family, "n": sm.n, "seed": sm.seed,
@@ -268,11 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate an operator at points")
     p.add_argument("--kind", required=True, choices=tuple(_EVAL_FNS))
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--zeta")
-    p.add_argument("--alpha")
-    p.add_argument("--a")
-    p.add_argument("--q")
-    p.add_argument("--eta")
+    for name in dict.fromkeys(CLASSICAL.fields + PATHWAY.fields):
+        p.add_argument(_flag(name))
     p.add_argument("--density", default="gamma:2")
     p.add_argument("--point", action="append", required=True,
                    help="comma-separated coordinates; repeatable")
@@ -287,7 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float)
     _add_common(p)
 
-    p = sub.add_parser("verify", help="Monte Carlo verification of an identity")
+    p = sub.add_parser("verify", help="Monte Carlo verification of an identity",
+                       description="Parameter flags default to the identity's own; "
+                                   "theorems 2.4/2.5 take --alphas as the catalogued "
+                                   "parameters minus one.")
     p.add_argument("--theorem", required=True, choices=mc_oracle.IDENTITY_IDS)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int)
@@ -295,45 +304,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constant-scale", dest="constant_scale", type=float,
                    help="multiply the density constant (negative control)")
     p.add_argument("--probe", action="append", help="probe point; repeatable")
-    p.add_argument("--zeta")
-    p.add_argument("--alpha")
-    p.add_argument("--a")
-    p.add_argument("--q")
-    p.add_argument("--eta")
-    p.add_argument("--alphas",
-                   help="mixing-density power exponents (for theorems 2.4/2.5 "
-                        "pass the catalogued parameters minus one)")
-    p.add_argument("--alpha-last", dest="alpha_last", type=float)
-    p.add_argument("--betas")
+    for name, family in _IDENTITY_FLAGS.items():
+        p.add_argument(_flag(name), dest=name, type=float if name in family.scalars else str)
     p.add_argument("--density")
     _add_common(p)
 
     p = sub.add_parser("sample", help="draw from one of the density families")
-    p.add_argument("--family", required=True,
-                   help="beta:a,b | dirichlet:a1,..;last | gen-dirichlet:a1,..;b1,.. "
-                        "| pathway:a,q,eta,zeta | gamma:shapes")
+    p.add_argument("--family", required=True, help=_FAMILY_FORMS)
     p.add_argument("--n", type=int)
     p.add_argument("--seed", type=int)
     _add_common(p)
     return ap
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
+def resolve_config(args: argparse.Namespace) -> tuple[dict, set]:
+    """defaults < config file < explicit flags; also returns the keys the
+    user set, by flag or in the config file."""
     import json
 
     cfg = dict(_DEFAULTS)
     cfg["workers"] = default_workers()
     flags = {k: v for k, v in vars(args).items() if v is not None}
     path = flags.pop("config", None)
+    given = set(flags)
     if path:
         with open(path) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
         cfg.update(file_cfg)
+        given.update(file_cfg)
     cfg.update(flags)
-    return cfg
+    return cfg, given
 
 
 _COMMANDS = {
@@ -352,10 +354,10 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = resolve_config(args)
+        cfg, given = resolve_config(args)
         if cfg.get("command") == "mellin-check" and not cfg.get("density"):
             cfg["density"] = "gamma:" + ",".join(["2"] + [str(2 + j) for j in range(1, cfg["k"])])
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](cfg, given)
     except KeyError as exc:
         print(f"error: missing required option {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import gammaincinv, gammaln
 
 from . import transforms
-from .errors import EmptyRequestError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 from .streams import uniform_block_parallel
 
 
@@ -303,57 +303,57 @@ def pathway_limit_factor(u, v, *, a: float, eta: float, zeta: float):
 # samplers
 # ---------------------------------------------------------------------------
 
-def _check_n(n: int):
-    if n < 1:
-        raise EmptyRequestError("at least one sample must be requested")
-
-
 def _gamma_cols(u: np.ndarray, shapes: Sequence[float]) -> np.ndarray:
     """Inverse-CDF unit-rate gamma draws, one column per shape."""
-    out = np.empty_like(u)
+    out = np.empty((u.shape[0], len(shapes)))
     for j, s in enumerate(shapes):
         out[:, j] = gammaincinv(s, u[:, j])
     return out
 
 
+def beta_product_from_uniforms(u: np.ndarray, triples) -> np.ndarray:
+    """Independent scaled betas, one per ``(first, second, c)`` triple:
+    column j is Beta(first, second) / c, drawn as a gamma ratio from
+    uniform columns 2j and 2j+1."""
+    g = _gamma_cols(u, [p for first, second, _ in triples for p in (first, second)])
+    scale = np.array([c for _, _, c in triples])
+    return g[:, 0::2] / (g[:, 0::2] + g[:, 1::2]) / scale
+
+
+def dirichlet_from_uniforms(u: np.ndarray, p: DirichletParams) -> np.ndarray:
+    """Dirichlet rows on the open simplex by gamma normalization of k+1 columns."""
+    g = _gamma_cols(u, tuple(a + 1.0 for a in p.alphas) + (p.alpha_last,))
+    return g[:, :p.dim] / np.sum(g, axis=1, keepdims=True)
+
+
 def beta_from_uniforms(u: np.ndarray, first: float, second: float) -> np.ndarray:
     """Beta(first, second) draws from two uniform columns via gamma ratios."""
-    g = _gamma_cols(u, (first, second))
-    return g[:, 0] / (g[:, 0] + g[:, 1])
+    return beta_product_from_uniforms(u, ((first, second, 1.0),))[:, 0]
 
 
 def beta1_sample(p: BetaParams, n: int, seed: int, workers: int = 1) -> SampleMatrix:
     """n independent type-1 beta draws; deterministic given ``seed``."""
-    _check_n(n)
     u = uniform_block_parallel(seed, n, 2, workers)
     return SampleMatrix(beta_from_uniforms(u, p.first, p.second)[:, None], seed)
 
 
 def dirichlet1_sample(p: DirichletParams, n: int, seed: int, workers: int = 1) -> SampleMatrix:
     """Dirichlet rows via gamma normalization; rows lie on the open simplex."""
-    _check_n(n)
-    k = p.dim
-    u = uniform_block_parallel(seed, n, k + 1, workers)
-    g = _gamma_cols(u, tuple(a + 1.0 for a in p.alphas) + (p.alpha_last,))
-    return SampleMatrix(g[:, :k] / np.sum(g, axis=1, keepdims=True), seed)
+    u = uniform_block_parallel(seed, n, p.dim + 1, workers)
+    return SampleMatrix(dirichlet_from_uniforms(u, p), seed)
 
 
 def gen_dirichlet1_sample(p: GenDirichletParams, n: int, seed: int, workers: int = 1) -> SampleMatrix:
     """Generalized Dirichlet rows: independent betas pushed through the
     inverse triangular map."""
-    _check_n(n)
-    k = p.dim
     derived = transforms.derived_beta_params("thm1_3", p.alphas, betas=p.betas)
-    u = uniform_block_parallel(seed, n, 2 * k, workers)
-    y = np.empty((n, k))
-    for j, (f, s) in enumerate(derived.pairs):
-        y[:, j] = beta_from_uniforms(u[:, 2 * j : 2 * j + 2], f, s)
+    u = uniform_block_parallel(seed, n, 2 * p.dim, workers)
+    y = beta_product_from_uniforms(u, [(f, s, 1.0) for f, s in derived.pairs])
     return SampleMatrix(transforms.inverse(y), seed)
 
 
 def pathway_sample(p: PathwayDimParams, n: int, seed: int, workers: int = 1) -> SampleMatrix:
     """Pathway draws as scaled type-1 betas on (0, 1/(a(1-q)))."""
-    _check_n(n)
     u = uniform_block_parallel(seed, n, 2, workers)
-    y = beta_from_uniforms(u, p.zeta + 1.0, p.tail_exponent + 1.0)
-    return SampleMatrix((y / p.scale_factor)[:, None], seed)
+    triple = (p.zeta + 1.0, p.tail_exponent + 1.0, p.scale_factor)
+    return SampleMatrix(beta_product_from_uniforms(u, (triple,)), seed)

@@ -24,18 +24,20 @@ extreme parameter regimes (pathway q near 1) never overflow.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaincinv, gammaln, loggamma
+from scipy.special import gammaln, loggamma
 
 from .densities import (
     DirichletParams,
     GenDirichletParams,
     PathwayDimParams,
     SampleMatrix,
+    _gamma_cols,
 )
 from .errors import (
     DomainError,
@@ -54,9 +56,6 @@ MAX_TENSOR_DIM = 6
 # Regime-switch thresholds, in units of the density's characteristic scale.
 _NEAR_FIELD = 0.25
 _FAR_FIELD = 100.0
-
-IDENTITY_IDS = ("1.1", "1.2", "1.3", "1.4", "2.1", "2.3", "2.4", "2.5")
-_SECOND_KIND_IDS = ("1.1", "1.2", "1.3", "1.4")
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +78,14 @@ class DimParams:
             raise ParameterError("alpha must be positive")
         if not self.zeta > -1.0:
             raise ParameterError("zeta must exceed -1")
+
+
+@dataclass(frozen=True)
+class ScaledDimParams(DimParams):
+    """Operator parameters with the pathway support factor a(1-q); see
+    :func:`identity_setup`."""
+
+    scale_factor: float
 
 
 @dataclass(frozen=True)
@@ -262,15 +269,15 @@ class _DimQuad:
             return v / self.c, logw + self.extra_log
 
 
+def _zeta_alpha_c(p) -> tuple[float, float, float]:
+    """Operator zeta, alpha and support factor of one dimension's parameters."""
+    if isinstance(p, PathwayDimParams):
+        return p.zeta, p.tail_exponent + 1.0, p.scale_factor
+    return p.zeta, p.alpha, getattr(p, "scale_factor", 1.0)
+
+
 def _build_plans(kind: str, params, n: int, f_scale: float) -> list[_DimQuad]:
-    plans = []
-    for p in params:
-        if isinstance(p, PathwayDimParams):
-            plans.append(_DimQuad(kind, p.zeta, p.tail_exponent + 1.0,
-                                  p.scale_factor, n, f_scale))
-        else:
-            plans.append(_DimQuad(kind, p.zeta, p.alpha, 1.0, n, f_scale))
-    return plans
+    return [_DimQuad(kind, *_zeta_alpha_c(p), n, f_scale) for p in params]
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +310,14 @@ def _eval_tensor(plans: Sequence[_DimQuad], point: np.ndarray,
     return float(acc) * math.exp(min(log_scale, 700.0))
 
 
-def _eval_points(kind: str, params, f: MultiDensity, points: np.ndarray,
-                 n: int, log_shift: float = 0.0) -> np.ndarray:
+def eval_many(kind: str, params, f: MultiDensity, points,
+              n: int = DEFAULT_NODES, log_shift: float = 0.0) -> np.ndarray:
+    """Vectorized operator evaluation at (m, k) points (a single k-vector
+    gives a scalar).
+
+    ``log_shift`` is subtracted from the log prefactor before
+    exponentiation, allowing fused computation of operator/constant ratios.
+    """
     points = np.asarray(points, dtype=float)
     single = points.ndim == 1
     if single:
@@ -323,10 +336,10 @@ def _eval_points(kind: str, params, f: MultiDensity, points: np.ndarray,
 
 def _operator_result(kind: str, params, f: MultiDensity, u,
                      n: int, refine: bool) -> OperatorResult:
-    value = float(_eval_points(kind, params, f, np.atleast_1d(np.asarray(u, float)), n))
+    value = float(eval_many(kind, params, f, np.atleast_1d(np.asarray(u, float)), n))
     err = None
     if refine:
-        fine = float(_eval_points(kind, params, f, np.atleast_1d(np.asarray(u, float)), 2 * n))
+        fine = float(eval_many(kind, params, f, np.atleast_1d(np.asarray(u, float)), 2 * n))
         err = abs(value - fine)
     return OperatorResult(value=value, est_error=err, n_nodes=n)
 
@@ -367,20 +380,7 @@ def pathway_kober1_eval(u, params: Sequence[PathwayDimParams], f: MultiDensity,
     kernel factor ``u - a(1-q) v`` vanishes; the sign-indefinite alternative
     ``u/(1 - a(1-q))`` is not used.
     """
-    for p in params:
-        if not p.zeta > 0.0:
-            raise ParameterError("the first-kind pathway operator requires zeta > 0")
     return _operator_result("first", tuple(params), f, u, n, refine)
-
-
-def eval_many(kind: str, params, f: MultiDensity, points,
-              n: int = DEFAULT_NODES, log_shift: float = 0.0) -> np.ndarray:
-    """Vectorized operator evaluation at (m, k) points.
-
-    ``log_shift`` is subtracted from the log prefactor before
-    exponentiation, allowing fused computation of operator/constant ratios.
-    """
-    return _eval_points(kind, params, f, points, n, log_shift)
 
 
 def operator_image(kind: str, params, f: MultiDensity,
@@ -393,7 +393,7 @@ def operator_image(kind: str, params, f: MultiDensity,
     def pdf(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         flat = pts.reshape(-1, k)
-        vals = _eval_points(kind, params, f, flat, n)
+        vals = eval_many(kind, params, f, flat, n)
         return np.asarray(vals).reshape(pts.shape[:-1])
 
     tail = "exp" if (kind == "second" and f.tail == "exp") else "algebraic"
@@ -402,80 +402,169 @@ def operator_image(kind: str, params, f: MultiDensity,
 
 
 # ---------------------------------------------------------------------------
-# density constants and fused predicted densities
+# identity catalogue
 # ---------------------------------------------------------------------------
 
-def _pairs_log_constant(pairs) -> float:
-    """log prod Gamma(first) / Gamma(first + second) over parameter pairs."""
-    return float(sum(gammaln(f) - gammaln(f + s) for f, s in pairs))
+@dataclass(frozen=True)
+class Family:
+    """Parameter record of a mixing density: a tuple of per-dimension
+    records (``per_dim``), or one record whose ``scalars`` hold one value
+    and other fields a value per dimension.  Its field names are also
+    ``ekstat verify`` flags."""
+
+    name: str
+    params_type: type
+    per_dim: bool
+    scalars: tuple[str, ...] = ()
+
+    @property
+    def fields(self) -> tuple[str, ...]:
+        return tuple(f.name for f in dataclasses.fields(self.params_type))
+
+    def build(self, values: dict):
+        """Parameter record from the values of each field."""
+        if not self.per_dim:
+            return self.params_type(**values)
+        return tuple(self.params_type(*row) for row in zip(*(values[f] for f in self.fields)))
+
+    def dim(self, params) -> int:
+        return len(params) if self.per_dim else params.dim
+
+
+CLASSICAL = Family("classical", DimParams, per_dim=True)
+PATHWAY = Family("pathway", PathwayDimParams, per_dim=True)
+DIRICHLET = Family("dirichlet", DirichletParams, per_dim=False, scalars=("alpha_last",))
+GEN_DIRICHLET = Family("gen-dirichlet", GenDirichletParams, per_dim=False)
+
+
+class BetaLaws(NamedTuple):
+    """Per dimension ``(first, second, c)``: the mixing coordinate (its
+    ratio coordinate, for a triangular identity) is Beta(first, second)/c.
+    ``printed``: the pairs of the source's as-printed reading, if any."""
+
+    triples: tuple[tuple[float, float, float], ...]
+    printed: tuple[tuple[float, float], ...] | None = None
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One catalogued identity: with f-draws v and y = x (or the
+    triangular map of x), u = y * v (second kind) or v / y (first kind) has
+    the density ``kind`` operator(f) / :func:`identity_setup` constant.
+    ``defaults``: the family's field values for k <= 3."""
+
+    kind: str
+    family: Family
+    defaults: dict
+    beta: Callable[[object], BetaLaws]
+    triangular: bool = False
+    notes: tuple[str, ...] = ()
+
+    @property
+    def combine(self) -> str:
+        step = "product" if self.kind == "second" else "ratio"
+        return "transformed-" + step if self.triangular else step
+
+
+def _per_dim_laws(shift: float) -> Callable[[object], BetaLaws]:
+    """Beta laws of per-dimension operator parameters: first = zeta + shift,
+    with shift = 1 for the second kind."""
+    return lambda p: BetaLaws(tuple((z + shift, a, c) for z, a, c in map(_zeta_alpha_c, p)))
+
+
+def _dirichlet_laws(variant: str, shift: float = 0.0) -> Callable[[object], BetaLaws]:
+    """Beta laws of a Dirichlet-type record; the first-kind identities
+    catalogue each alpha one above its sampling exponent (``shift`` = 1)."""
+    def laws(p) -> BetaLaws:
+        d = derived_beta_params(variant, tuple(a + shift for a in p.alphas),
+                                getattr(p, "alpha_last", None), getattr(p, "betas", None))
+        return BetaLaws(tuple((f, s, 1.0) for f, s in d.pairs), d.alt_pairs, d.alt_note)
+    return laws
+
+
+_PATHWAY_DEFAULTS = {"a": (1.0, 1.5, 1.0), "q": (0.5, 0.25, 0.5), "eta": (1.0, 2.0, 1.0)}
+
+IDENTITIES = {
+    "1.1": Identity(
+        "second", CLASSICAL, {"zeta": (0.5, 1.0, 0.8), "alpha": (1.5, 0.7, 1.2)},
+        _per_dim_laws(1.0)),
+    "1.2": Identity(
+        "second", DIRICHLET, {"alphas": (0.5, 1.0, 0.5), "alpha_last": 2.0},
+        _dirichlet_laws("thm1_2"), triangular=True),
+    "1.3": Identity(
+        "second", GEN_DIRICHLET, {"alphas": (0.5, 1.0, 0.5), "betas": (1.0, 2.0, 1.5)},
+        _dirichlet_laws("thm1_3"), triangular=True),
+    "1.4": Identity(
+        "second", PATHWAY, {**_PATHWAY_DEFAULTS, "zeta": (0.0, 0.8, 0.5)}, _per_dim_laws(1.0),
+        notes=("second-kind pathway kernel includes the inverse power "
+               "v^-(zeta + eta/(1-q) + 1) from the product construction; the "
+               "density constant carries the factor [a(1-q)]^-(zeta+1) alongside "
+               "the gamma ratio",)),
+    "2.1": Identity(
+        "first", CLASSICAL, {"zeta": (1.5, 2.0, 1.2), "alpha": (1.0, 0.7, 1.3)},
+        _per_dim_laws(0.0)),
+    "2.3": Identity(
+        "first", PATHWAY, {**_PATHWAY_DEFAULTS, "zeta": (1.5, 1.0, 2.0)}, _per_dim_laws(0.0),
+        notes=("first-kind pathway upper limit is u/(a(1-q)), where the kernel "
+               "factor u - a(1-q)v vanishes; the alternative reading "
+               "u/(1-a(1-q)) is sign-indefinite for a(1-q) >= 1 and is not used",
+               "the density constant carries the factor [a(1-q)]^-zeta alongside "
+               "the gamma ratio")),
+    # sampling exponents: the catalogued alphas (2, 3, 2) minus one
+    "2.4": Identity(
+        "first", DIRICHLET, {"alphas": (1.0, 2.0, 1.0), "alpha_last": 1.0},
+        _dirichlet_laws("thm2_4", shift=1.0), triangular=True),
+    "2.5": Identity(
+        "first", GEN_DIRICHLET, {"alphas": (1.0, 2.0, 1.0), "betas": (1.0, 2.0, 1.5)},
+        _dirichlet_laws("thm2_5", shift=1.0), triangular=True),
+}
+IDENTITY_IDS = tuple(IDENTITIES)
+
+
+def identity_record(theorem: str) -> Identity:
+    if theorem not in IDENTITIES:
+        raise UsageError(f"unknown identity id {theorem!r}; expected one of {IDENTITY_IDS}")
+    return IDENTITIES[theorem]
+
+
+def setup_from_triples(kind: str, triples):
+    """(kind, operator dims, log constant) for mixing coordinates
+    Beta(first, second)/c: per dimension ``zeta = first - [kind ==
+    second]``, ``alpha = second``, support factor c, and the constant
+    ``prod Gamma(first) c^-first / Gamma(first + second)``."""
+    triples = tuple(triples)
+    if not all(f > 0.0 and s > 0.0 for f, s, _ in triples):
+        raise ParameterError(f"mixing beta laws (first, second, c) need positive "
+                             f"first and second, got {triples}")
+    shift = 1.0 if kind == "second" else 0.0
+    dims = tuple(ScaledDimParams(f - shift, s, c) for f, s, c in triples)
+    # keep this order of operations: reports depend on the constant bit for bit
+    log_c = float(sum(gammaln(f) - f * math.log(c) - gammaln(f + s) for f, s, c in triples))
+    return kind, dims, log_c
 
 
 def identity_setup(theorem: str, params):
     """Operator kind, per-dimension parameters, and log density constant
     for one catalogued operator-density identity.
 
-    ``params`` is a sequence of :class:`DimParams` (ids 1.1, 2.1), a
-    sequence of :class:`PathwayDimParams` (1.4, 2.3), or the Dirichlet-type
-    parameter record of the mixing density (1.2, 1.3, 2.4, 2.5).  The
-    constant is the factor c with ``c * (joint density of u) = operator
-    applied to f``; for the pathway identities it carries the support-scale
-    power ``[a(1-q)]^(zeta+1)`` (second kind) or ``[a(1-q)]^zeta`` (first
-    kind) alongside the gamma ratio.
+    ``params`` is the record of the identity's mixing family in
+    :data:`IDENTITIES`.  The constant is the factor c with ``c * (joint
+    density of u) = operator applied to f``; for the pathway identities it
+    carries the support-scale power ``[a(1-q)]^(zeta+1)`` (second kind) or
+    ``[a(1-q)]^zeta`` (first kind) alongside the gamma ratio.
     """
-    if theorem not in IDENTITY_IDS:
-        raise UsageError(f"unknown identity id {theorem!r}; expected one of {IDENTITY_IDS}")
-    kind = "second" if theorem in _SECOND_KIND_IDS else "first"
+    rec = identity_record(theorem)
+    fam = rec.family
+    records = params if fam.per_dim and isinstance(params, (tuple, list)) else [params]
+    if not all(isinstance(p, fam.params_type) for p in records):
+        raise UsageError(f"identity {theorem} takes {fam.params_type.__name__} parameters")
+    return setup_from_triples(rec.kind, rec.beta(params).triples)
 
-    if theorem in ("1.1", "2.1"):
-        dims = tuple(params)
-        for d in dims:
-            if theorem == "2.1" and not d.zeta > 0.0:
-                raise ParameterError("identity 2.1 requires zeta > 0")
-        if theorem == "1.1":
-            log_c = float(sum(gammaln(d.zeta + 1.0) - gammaln(d.zeta + d.alpha + 1.0)
-                              for d in dims))
-        else:
-            log_c = float(sum(gammaln(d.zeta) - gammaln(d.zeta + d.alpha)
-                              for d in dims))
-        return kind, dims, log_c
 
-    if theorem in ("1.4", "2.3"):
-        dims = tuple(params)
-        log_c = 0.0
-        for p in dims:
-            rho = p.tail_exponent
-            lc = math.log(p.scale_factor)
-            if theorem == "1.4":
-                log_c += gammaln(p.zeta + 1.0) - (p.zeta + 1.0) * lc \
-                    - gammaln(p.zeta + rho + 2.0)
-            else:
-                if not p.zeta > 0.0:
-                    raise ParameterError("identity 2.3 requires zeta > 0")
-                log_c += gammaln(p.zeta) - p.zeta * lc - gammaln(p.zeta + rho + 1.0)
-        return kind, dims, float(log_c)
-
-    if theorem in ("1.2", "2.4"):
-        if not isinstance(params, DirichletParams):
-            raise UsageError(f"identity {theorem} takes DirichletParams")
-        if theorem == "1.2":
-            derived = derived_beta_params("thm1_2", params.alphas, params.alpha_last)
-        else:
-            derived = derived_beta_params(
-                "thm2_4", tuple(a + 1.0 for a in params.alphas), params.alpha_last
-            )
-    else:
-        if not isinstance(params, GenDirichletParams):
-            raise UsageError(f"identity {theorem} takes GenDirichletParams")
-        if theorem == "1.3":
-            derived = derived_beta_params("thm1_3", params.alphas, betas=params.betas)
-        else:
-            derived = derived_beta_params(
-                "thm2_5", tuple(a + 1.0 for a in params.alphas), betas=params.betas
-            )
-    dims = tuple(DimParams(zeta=f - (1.0 if kind == "second" else 0.0), alpha=s)
-                 for f, s in derived.pairs)
-    return kind, dims, _pairs_log_constant(derived.pairs)
-
+# ---------------------------------------------------------------------------
+# density constants and fused predicted densities
+# ---------------------------------------------------------------------------
 
 def log_density_constant(theorem: str, params) -> float:
     """Log of the constant linking the operator to the joint density of u."""
@@ -528,10 +617,7 @@ def gamma_product(shapes: Sequence[float], name: str = "") -> MultiDensity:
         return np.where(inside, np.exp(logp), 0.0)
 
     def from_uniforms(u: np.ndarray) -> np.ndarray:
-        out = np.empty_like(u)
-        for j, s in enumerate(shapes):
-            out[:, j] = gammaincinv(s, u[:, j])
-        return out
+        return _gamma_cols(u, shapes)
 
     def mellin(s) -> complex:
         s = np.asarray(s, dtype=complex)

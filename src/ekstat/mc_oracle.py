@@ -17,31 +17,35 @@ identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.special import gammaincinv, gammaln
+
+# The sampling path draws through ``densities`` and no longer calls
+# ``gammaincinv`` or ``beta_from_uniforms`` here; both names stay importable
+# from this module because benchmarks/tracing.py wraps them by name.
+from scipy.special import gammaincinv  # noqa: F401
 
 from . import transforms
 from .densities import (
     DirichletParams,
-    GenDirichletParams,
-    PathwayDimParams,
     SampleMatrix,
-    beta_from_uniforms,
+    beta_from_uniforms,  # noqa: F401
+    beta_product_from_uniforms,
+    dirichlet_from_uniforms,
 )
 from .errors import ParameterError, ShapeError, SizeError, UsageError
 from .kober import (
     IDENTITY_IDS,
-    DimParams,
     MultiDensity,
     eval_many,
     gamma_product,
+    identity_record,
     identity_setup,
+    setup_from_triples,
 )
 from .quadrature import DEFAULT_NODES
 from .streams import uniform_block_parallel
-from .transforms import derived_beta_params
 
 MAX_VERIFY_DIM = 3
 
@@ -62,11 +66,10 @@ _HARD_Z = 6.0
 class TheoremSpec:
     """One identity check: id, mixing parameters, and the density f.
 
-    ``params`` is a tuple of :class:`DimParams` (1.1, 2.1), a tuple of
-    :class:`PathwayDimParams` (1.4, 2.3), a :class:`DirichletParams`
-    (1.2, 2.4) or a :class:`GenDirichletParams` (1.3, 2.5).  For 2.4/2.5
-    the record holds the actual sampling exponents (the catalogued
-    parameters shifted down by one).
+    ``params`` is the parameter record of the identity's mixing family (see
+    :data:`ekstat.kober.IDENTITIES`).  For 2.4/2.5 the record holds the
+    actual sampling exponents (the catalogued parameters shifted down by
+    one).
     """
 
     theorem: str
@@ -74,15 +77,16 @@ class TheoremSpec:
     f: MultiDensity
 
     def __post_init__(self):
-        if self.theorem not in IDENTITY_IDS:
-            raise UsageError(f"unknown identity id {self.theorem!r}")
         identity_setup(self.theorem, self.params)  # validates eagerly
+        if self.k != self.f.dim:
+            raise ShapeError(
+                f"identity {self.theorem} has {self.k} parameter dimensions "
+                f"but the density has {self.f.dim}"
+            )
 
     @property
     def k(self) -> int:
-        if isinstance(self.params, (DirichletParams, GenDirichletParams)):
-            return self.params.dim
-        return len(self.params)
+        return identity_record(self.theorem).family.dim(self.params)
 
 
 def default_density(k: int) -> MultiDensity:
@@ -91,31 +95,18 @@ def default_density(k: int) -> MultiDensity:
 
 
 def make_spec(theorem: str, k: int, params=None, f: MultiDensity | None = None) -> TheoremSpec:
-    """A ready-to-run spec with library default parameters."""
+    """A ready-to-run spec, with the identity's default parameters when
+    ``params`` is None."""
     if k < 1:
         raise ParameterError("dimension must be at least 1")
     if params is None:
-        if theorem == "1.1":
-            params = tuple(DimParams(*za) for za in ((0.5, 1.5), (1.0, 0.7), (0.8, 1.2))[:k])
-        elif theorem == "2.1":
-            params = tuple(DimParams(*za) for za in ((1.5, 1.0), (2.0, 0.7), (1.2, 1.3))[:k])
-        elif theorem == "1.2":
-            params = DirichletParams(alphas=(0.5, 1.0, 0.5)[:k], alpha_last=2.0)
-        elif theorem == "1.3":
-            params = GenDirichletParams(alphas=(0.5, 1.0, 0.5)[:k], betas=(1.0, 2.0, 1.5)[:k])
-        elif theorem == "2.4":
-            # catalogued alphas (2, 3, 2); stored as sampling exponents
-            params = DirichletParams(alphas=(1.0, 2.0, 1.0)[:k], alpha_last=1.0)
-        elif theorem == "2.5":
-            params = GenDirichletParams(alphas=(1.0, 2.0, 1.0)[:k], betas=(1.0, 2.0, 1.5)[:k])
-        elif theorem == "1.4":
-            params = tuple(PathwayDimParams(*aqez) for aqez in
-                           ((1.0, 0.5, 1.0, 0.0), (1.5, 0.25, 2.0, 0.8), (1.0, 0.5, 1.0, 0.5))[:k])
-        elif theorem == "2.3":
-            params = tuple(PathwayDimParams(*aqez) for aqez in
-                           ((1.0, 0.5, 1.0, 1.5), (1.5, 0.25, 2.0, 1.0), (1.0, 0.5, 1.0, 2.0))[:k])
-        else:
-            raise UsageError(f"unknown identity id {theorem!r}")
+        rec = identity_record(theorem)
+        family = rec.family
+        params = family.build({name: v if name in family.scalars else v[:k]
+                               for name, v in rec.defaults.items()})
+        if family.dim(params) != k:
+            raise SizeError(f"identity {theorem} has default parameters for "
+                            f"k <= {family.dim(params)} only")
     return TheoremSpec(theorem=theorem, params=params, f=f or default_density(k))
 
 
@@ -123,59 +114,31 @@ def make_spec(theorem: str, k: int, params=None, f: MultiDensity | None = None) 
 # simulation
 # ---------------------------------------------------------------------------
 
-def _mixing_columns(spec: TheoremSpec) -> int:
-    t = spec.theorem
-    if t in ("1.2", "2.4"):
-        return spec.k + 1
-    return 2 * spec.k  # independent betas (possibly via the triangular map)
-
-
 def simulate_parts(spec: TheoremSpec, n: int, seed: int, workers: int = 1) -> dict:
     """Draw all intermediate stages of the identity's construction.
 
     Returns a dict with the mixing vector ``x``, the ratio coordinates
     ``y`` (identical to x for the independent families), the f-draws ``v``
-    and the combined vector ``u``.
+    and the combined vector ``u``.  The betas drawn for a triangular
+    identity are the ratio coordinates of x.
     """
     if spec.f.from_uniforms is None or spec.f.uniform_cols is None:
         raise UsageError("the identity's density f carries no sampler")
-    k = spec.k
-    t = spec.theorem
-    cols_x = _mixing_columns(spec)
+    rec = identity_record(spec.theorem)
+    dirichlet = isinstance(spec.params, DirichletParams)
+    cols_x = spec.k + 1 if dirichlet else 2 * spec.k
     u_block = uniform_block_parallel(seed, n, cols_x + spec.f.uniform_cols, workers)
     ux, uf = u_block[:, :cols_x], u_block[:, cols_x:]
     v = spec.f.from_uniforms(uf)
 
-    if t in ("1.1", "2.1"):
-        x = np.empty((n, k))
-        for j, d in enumerate(spec.params):
-            first = d.zeta + 1.0 if t == "1.1" else d.zeta
-            x[:, j] = beta_from_uniforms(ux[:, 2 * j: 2 * j + 2], first, d.alpha)
-        y = x
-    elif t in ("1.4", "2.3"):
-        x = np.empty((n, k))
-        for j, p in enumerate(spec.params):
-            zeta_x = p.zeta if t == "1.4" else p.zeta - 1.0
-            b = beta_from_uniforms(ux[:, 2 * j: 2 * j + 2], zeta_x + 1.0,
-                                   p.tail_exponent + 1.0)
-            x[:, j] = b / p.scale_factor
-        y = x
-    elif t in ("1.2", "2.4"):
-        shapes = tuple(a + 1.0 for a in spec.params.alphas) + (spec.params.alpha_last,)
-        g = np.empty((n, k + 1))
-        for j, s in enumerate(shapes):
-            g[:, j] = gammaincinv(s, ux[:, j])
-        x = g[:, :k] / np.sum(g, axis=1, keepdims=True)
-        y = transforms.forward(x)
-    else:  # 1.3, 2.5
-        derived = derived_beta_params("thm1_3", spec.params.alphas, betas=spec.params.betas)
-        yb = np.empty((n, k))
-        for j, (first, second) in enumerate(derived.pairs):
-            yb[:, j] = beta_from_uniforms(ux[:, 2 * j: 2 * j + 2], first, second)
-        x = transforms.inverse(yb)
-        y = transforms.forward(x)
-
-    u = y * v if t in ("1.1", "1.2", "1.3", "1.4") else v / y
+    if dirichlet:
+        x = dirichlet_from_uniforms(ux, spec.params)
+    else:
+        x = beta_product_from_uniforms(ux, rec.beta(spec.params).triples)
+        if rec.triangular:
+            x = transforms.inverse(x)
+    y = transforms.forward(x) if rec.triangular else x
+    u = y * v if rec.kind == "second" else v / y
     return {"x": x, "y": y, "v": v, "u": u}
 
 
@@ -255,47 +218,30 @@ class Candidate:
     label: str
     pairs: tuple[tuple[float, float], ...]
     kind: str
-    constant_numerator: str  # "first" or "second" pair member inside Gamma
     note: str = ""
 
     @property
     def admissible(self) -> bool:
         return all(f > 0.0 and s > 0.0 for f, s in self.pairs)
 
-    def dim_params(self) -> tuple[DimParams, ...]:
-        shift = 1.0 if self.kind == "second" else 0.0
-        return tuple(DimParams(zeta=f - shift, alpha=s) for f, s in self.pairs)
+    def setup(self):
+        """(kind, operator dims, log constant) of this reading."""
+        return setup_from_triples(self.kind, ((f, s, 1.0) for f, s in self.pairs))
 
-    def log_constant(self) -> float:
-        if self.constant_numerator == "first":
-            return float(sum(gammaln(f) - gammaln(f + s) for f, s in self.pairs))
-        return float(sum(gammaln(s) - gammaln(f + s) for f, s in self.pairs))
+    def dim_params(self):
+        return self.setup()[1]
 
 
 def identity_candidates(spec: TheoremSpec) -> list[Candidate]:
-    """Derivation-consistent and as-printed parameter sets, where they differ."""
-    t = spec.theorem
-    if t == "1.3":
-        derived = derived_beta_params("thm1_3", spec.params.alphas, betas=spec.params.betas)
-        kind, numer = "second", "first"
-    elif t == "2.4":
-        derived = derived_beta_params(
-            "thm2_4", tuple(a + 1.0 for a in spec.params.alphas), spec.params.alpha_last
-        )
-        kind, numer = "first", "first"
-    elif t == "2.5":
-        derived = derived_beta_params(
-            "thm2_5", tuple(a + 1.0 for a in spec.params.alphas), betas=spec.params.betas
-        )
-        kind, numer = "first", "first"
-    else:
+    """Derivation-consistent and as-printed parameter sets, for the
+    identities whose source prints a second reading."""
+    rec = identity_record(spec.theorem)
+    laws = rec.beta(spec.params)
+    if laws.printed is None:
         return []
-    out = [Candidate("derivation-consistent", derived.pairs, kind, numer)]
-    if derived.alt_pairs is not None:
-        printed_numer = "second" if t == "2.4" else numer
-        out.append(Candidate("as-printed", derived.alt_pairs, kind, printed_numer,
-                             note=derived.alt_note))
-    return out
+    derived = tuple((f, s) for f, s, _ in laws.triples)
+    return [Candidate("derivation-consistent", derived, rec.kind),
+            Candidate("as-printed", laws.printed, rec.kind, note=laws.note)]
 
 
 # ---------------------------------------------------------------------------
@@ -315,17 +261,7 @@ class CandidateResult:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "pairs": [list(p) for p in self.pairs],
-            "admissible": self.admissible,
-            "predicted": list(self.predicted),
-            "z": list(self.z),
-            "fraction_within_4se": self.fraction_within_4se,
-            "max_abs_z": self.max_abs_z,
-            "pass": self.passed,
-            "note": self.note,
-        }
+        return _fields_dict(self)
 
 
 @dataclass(frozen=True)
@@ -355,56 +291,22 @@ class VerificationReport:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "k": self.k,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "n_nodes": self.n_nodes,
-            "constant_scale": self.constant_scale,
-            "density": self.density,
-            "params": self.params,
-            "probes": [list(p) for p in self.probes],
-            "bandwidths": list(self.bandwidths),
-            "empirical": list(self.empirical),
-            "se": list(self.se),
-            "low_count": list(self.low_count),
-            "predicted": list(self.predicted),
-            "z": list(self.z),
-            "fraction_within_4se": self.fraction_within_4se,
-            "max_abs_z": self.max_abs_z,
-            "pass": self.passed,
-            "candidates": [c.to_dict() for c in self.candidates],
-            "adjudication_notes": self.adjudication_notes,
-            "notes": list(self.notes),
-        }
+        doc = _fields_dict(self)
+        doc["candidates"] = [c.to_dict() for c in self.candidates]
+        return doc
 
 
-_COMBINE_MODE = {
-    "1.1": "product", "1.4": "product",
-    "1.2": "transformed-product", "1.3": "transformed-product",
-    "2.1": "ratio", "2.3": "ratio",
-    "2.4": "transformed-ratio", "2.5": "transformed-ratio",
-}
+def _fields_dict(report) -> dict:
+    """A report's fields in declaration order, with ``passed`` keyed as ``pass``."""
+    return {("pass" if f.name == "passed" else f.name): getattr(report, f.name)
+            for f in fields(report)}
 
 
 def _params_echo(spec: TheoremSpec) -> dict:
+    rec = identity_record(spec.theorem)
     p = spec.params
-    echo = {"combine": _COMBINE_MODE[spec.theorem]}
-    if isinstance(p, DirichletParams):
-        echo.update({"family": "dirichlet", "alphas": list(p.alphas),
-                     "alpha_last": p.alpha_last})
-    elif isinstance(p, GenDirichletParams):
-        echo.update({"family": "gen-dirichlet", "alphas": list(p.alphas),
-                     "betas": list(p.betas)})
-    elif isinstance(p[0], PathwayDimParams):
-        echo.update({"family": "pathway",
-                     "dims": [{"a": d.a, "q": d.q, "eta": d.eta, "zeta": d.zeta}
-                              for d in p]})
-    else:
-        echo.update({"family": "classical",
-                     "dims": [{"zeta": d.zeta, "alpha": d.alpha} for d in p]})
-    return echo
+    values = {"dims": [asdict(d) for d in p]} if rec.family.per_dim else asdict(p)
+    return {"combine": rec.combine, "family": rec.family.name, **values}
 
 
 def _pass_policy(z: np.ndarray) -> tuple[float, float, bool]:
@@ -453,23 +355,6 @@ def _box_average(kind, dims, f, probes, bandwidths, n_nodes, log_shift):
     return out
 
 
-_PATHWAY_NOTES = {
-    "1.4": (
-        "second-kind pathway kernel includes the inverse power "
-        "v^-(zeta + eta/(1-q) + 1) from the product construction; the "
-        "density constant carries the factor [a(1-q)]^-(zeta+1) alongside "
-        "the gamma ratio",
-    ),
-    "2.3": (
-        "first-kind pathway upper limit is u/(a(1-q)), where the kernel "
-        "factor u - a(1-q)v vanishes; the alternative reading "
-        "u/(1-a(1-q)) is sign-indefinite for a(1-q) >= 1 and is not used",
-        "the density constant carries the factor [a(1-q)]^-zeta alongside "
-        "the gamma ratio",
-    ),
-}
-
-
 def verify(
     spec: TheoremSpec,
     probes=None,
@@ -508,37 +393,35 @@ def verify(
         raise ParameterError("probes must lie in the interior of the positive orthant")
 
     empirical, se, low = histogram_estimate(samples, probes, bandwidths)
-    kind, dims, log_c = identity_setup(spec.theorem, spec.params)
-    predicted = _box_average(kind, dims, spec.f, probes, bandwidths, n_nodes,
-                             log_shift=log_c + math.log(constant_scale))
-    z = (empirical - predicted) / se
-    fraction, max_abs, passed = _pass_policy(z)
+    scored = {}
+
+    def score(setup):  # a reading equal to the identity's own is scored once
+        if setup not in scored:
+            kind, dims, log_c = setup
+            pred = _box_average(kind, dims, spec.f, probes, bandwidths, n_nodes,
+                                log_shift=log_c + math.log(constant_scale))
+            z = (empirical - pred) / se
+            scored[setup] = (pred, z, *_pass_policy(z))
+        return scored[setup]
+
+    predicted, z, fraction, max_abs, passed = score(identity_setup(spec.theorem, spec.params))
 
     cand_results = []
     adjudication = ""
     cands = identity_candidates(spec)
     if cands:
         for cand in cands:
-            if not cand.admissible:
-                cand_results.append(CandidateResult(
-                    label=cand.label, pairs=cand.pairs, admissible=False,
-                    predicted=(), z=(), fraction_within_4se=0.0,
-                    max_abs_z=float("inf"), passed=False,
-                    note=(cand.note + "; " if cand.note else "")
-                    + "inadmissible: a beta parameter is not positive",
-                ))
-                continue
-            pred_c = _box_average(cand.kind, cand.dim_params(), spec.f, probes,
-                                  bandwidths, n_nodes,
-                                  log_shift=cand.log_constant() + math.log(constant_scale))
-            z_c = (empirical - pred_c) / se
-            frac_c, max_c, pass_c = _pass_policy(z_c)
+            note = cand.note
+            if cand.admissible:
+                pred_c, z_c, frac_c, max_c, pass_c = score(cand.setup())
+            else:
+                pred_c, z_c, frac_c, max_c, pass_c = (), (), 0.0, float("inf"), False
+                note = (note + "; " if note else "") + "inadmissible: a beta parameter is not positive"
             cand_results.append(CandidateResult(
-                label=cand.label, pairs=cand.pairs, admissible=True,
+                label=cand.label, pairs=cand.pairs, admissible=cand.admissible,
                 predicted=tuple(float(v) for v in pred_c),
                 z=tuple(float(v) for v in z_c),
-                fraction_within_4se=frac_c, max_abs_z=max_c, passed=pass_c,
-                note=cand.note,
+                fraction_within_4se=frac_c, max_abs_z=max_c, passed=pass_c, note=note,
             ))
         winners = [c.label for c in cand_results if c.passed]
         if len(cands) == 1 or cands[0].pairs == cands[-1].pairs:
@@ -577,5 +460,5 @@ def verify(
         passed=passed,
         candidates=tuple(cand_results),
         adjudication_notes=adjudication,
-        notes=_PATHWAY_NOTES.get(spec.theorem, ()),
+        notes=identity_record(spec.theorem).notes,
     )

@@ -1,4 +1,4 @@
-"""Jacobi-weighted Gaussian quadrature on (0,1) and tensor-product integration.
+"""Jacobi-weighted Gaussian quadrature on (0,1) and semi-axis node layouts.
 
 The operator kernels in this library carry endpoint factors
 ``(1-t)^edge1 * t^edge0`` with exponents that may approach -1 (weak
@@ -15,16 +15,14 @@ the integrand.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import betaln
 
-from .errors import EvaluationError, ParameterError, ShapeError
+from .errors import ParameterError
 
 DEFAULT_NODES = 64
 
@@ -111,86 +109,6 @@ def jacobi_rule(n: int, edge1: float, edge0: float) -> QuadratureRule:
             f"weight exponents must exceed -1, got edge1={edge1}, edge0={edge0}"
         )
     return _jacobi_rule_cached(int(n), float(edge1), float(edge0))
-
-
-def integrate_unit(rule: QuadratureRule, h: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Apply ``rule`` to a function of the node array.
-
-    ``h`` is evaluated once on all nodes; a non-finite value aborts with an
-    :class:`EvaluationError` naming the first offending node.
-    """
-    vals = np.asarray(h(rule.nodes), dtype=float)
-    if vals.shape != rule.nodes.shape:
-        raise ShapeError("integrand must return one value per node")
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        node = float(rule.nodes[np.argmax(bad)])
-        raise EvaluationError(f"integrand is not finite at node t={node!r}", point=node)
-    return float(np.dot(rule.weights, vals))
-
-
-@dataclass(frozen=True)
-class TensorRule:
-    """Tensor product of per-dimension quadrature rules."""
-
-    rules: tuple[QuadratureRule, ...]
-
-    def __post_init__(self):
-        if len(self.rules) < 1:
-            raise ShapeError("a tensor rule needs at least one dimension")
-
-    @property
-    def dim(self) -> int:
-        return len(self.rules)
-
-    def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full tensor grid as points (N, k) and combined true weights (N,)."""
-        axes = [r.nodes for r in self.rules]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        w = self.rules[0].weights
-        for r in self.rules[1:]:
-            w = np.multiply.outer(w, r.weights)
-        return pts, w.ravel()
-
-
-def tensor_integrate(
-    rules: TensorRule | Sequence[QuadratureRule],
-    h: Callable[[np.ndarray], np.ndarray],
-    workers: int = 1,
-    chunk: int = 1 << 14,
-) -> float:
-    """Tensor-product quadrature of ``h`` over the unit cube weights.
-
-    ``h`` receives points of shape (m, k) and must return (m,) values.  The
-    grid is traversed in a fixed C order and chunk sums are combined with
-    ``math.fsum``, so the result is reproducible to well under 1e-13 relative
-    regardless of ``workers``.
-    """
-    if not isinstance(rules, TensorRule):
-        rules = TensorRule(tuple(rules))
-    pts, w = rules.grid()
-    n = pts.shape[0]
-    spans = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-
-    def piece(span):
-        i, j = span
-        vals = np.asarray(h(pts[i:j]), dtype=float)
-        if vals.shape != (j - i,):
-            raise ShapeError("integrand must return one value per point")
-        if not np.isfinite(vals).all():
-            k = int(np.argmax(~np.isfinite(vals)))
-            raise EvaluationError(
-                f"integrand is not finite at {pts[i + k]!r}", point=pts[i + k]
-            )
-        return float(np.dot(w[i:j], vals))
-
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            partials = list(pool.map(piece, spans))
-    else:
-        partials = [piece(s) for s in spans]
-    return math.fsum(partials)
 
 
 def semiaxis_log_rule(

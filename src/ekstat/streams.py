@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import EmptyRequestError
+from .errors import EmptyRequestError, ParameterError
 
 WORKERS_ENV_VAR = "EKSTAT_WORKERS"
 
@@ -50,6 +50,8 @@ def uniform_block(
     """
     if n_rows < 1:
         raise EmptyRequestError("at least one row of uniforms must be requested")
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")
     if row_count is None:
         row_count = n_rows - row_start
     if row_start < 0 or row_count < 0 or row_start + row_count > n_rows:

@@ -137,6 +137,33 @@ class TestVerify:
     def test_unknown_theorem_is_usage_error(self):
         assert run_cli(["verify", "--theorem", "9.9", "--k", "1"]) == cli.EXIT_USAGE
 
+    def test_partial_parameter_set_is_usage_error(self, capsys):
+        code = run_cli(["verify", "--theorem", "1.1", "--k", "1", "--zeta", "5.0",
+                        "--samples", "20000"])
+        assert code == cli.EXIT_USAGE
+        assert "--zeta --alpha" in capsys.readouterr().err
+
+    def test_other_family_parameters_are_usage_error(self, capsys):
+        code = run_cli(["verify", "--theorem", "1.1", "--k", "1", "--alphas", "0.5",
+                        "--samples", "20000"])
+        assert code == cli.EXIT_USAGE
+        assert "--zeta --alpha" in capsys.readouterr().err
+
+    def test_dimension_beyond_defaults_is_usage_error(self):
+        code = run_cli(["verify", "--theorem", "1.1", "--k", "4", "--samples", "20000"])
+        assert code == cli.EXIT_USAGE
+
+    def test_own_family_parameters_are_used(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = run_cli([
+            "verify", "--theorem", "1.2", "--k", "1", "--alphas", "0.25",
+            "--samples", "20000", "--seed", "3", "--out", str(out),
+        ])
+        assert code in (cli.EXIT_OK, cli.EXIT_FAIL)
+        params = read_report(out)["result"]["params"]
+        assert params["alphas"] == [0.25]
+        assert params["alpha_last"] == 1.0
+
 
 class TestSample:
     def test_beta_family_csv(self, tmp_path):
@@ -202,3 +229,15 @@ class TestExitCodes:
 
     def test_argparse_failure_exits_two(self):
         assert run_cli(["eval", "--kind", "nonsense"]) == cli.EXIT_USAGE
+
+    def test_negative_verify_seed_exits_two(self):
+        code = run_cli(["verify", "--theorem", "1.1", "--k", "1", "--samples", "20000",
+                        "--seed", "-1"])
+        assert code == cli.EXIT_USAGE
+
+    def test_negative_sample_seed_exits_two(self):
+        code = run_cli(["sample", "--family", "gamma:2", "--seed", "-3"])
+        assert code == cli.EXIT_USAGE
+
+    def test_malformed_family_exits_two(self):
+        assert run_cli(["sample", "--family", "beta:1"]) == cli.EXIT_USAGE

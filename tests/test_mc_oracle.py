@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ekstat.errors import SizeError, UsageError
-from ekstat.kober import DimParams, MultiDensity, exponential_product, gamma_product
+from ekstat.errors import ShapeError, SizeError, UsageError
+from ekstat.kober import (
+    IDENTITY_IDS,
+    DimParams,
+    MultiDensity,
+    exponential_product,
+    gamma_product,
+)
 from ekstat.mc_oracle import (
     default_probes,
     histogram_estimate,
@@ -41,10 +47,12 @@ class TestSimulate:
         assert not np.array_equal(a, c)
 
     def test_worker_partition_reproduces(self):
-        spec = make_spec("1.4", 1)
-        one = simulate(spec, 6000, seed=11, workers=1).data
-        many = simulate(spec, 6000, seed=11, workers=5).data
-        assert np.array_equal(one, many)
+        for theorem in IDENTITY_IDS:
+            for k in (1, 2):
+                spec = make_spec(theorem, k)
+                one = simulate(spec, 6000, seed=11, workers=1).data
+                many = simulate(spec, 6000, seed=11, workers=3).data
+                assert np.array_equal(one, many), (theorem, k)
 
     def test_triangular_constructions_route_through_the_map(self):
         spec = make_spec("1.3", 2)
@@ -150,6 +158,21 @@ class TestVerify:
         spec = make_spec("1.1", 4, params=params, f=f)
         with pytest.raises(SizeError):
             verify(spec, n_samples=10**4, seed=0)
+
+    def test_defaults_stop_at_three_dimensions(self):
+        for theorem in IDENTITY_IDS:
+            with pytest.raises(SizeError):
+                make_spec(theorem, 4)
+
+    def test_parameter_count_must_match_density(self):
+        with pytest.raises(ShapeError):
+            make_spec("1.1", 1, params=(DimParams(0.5, 1.0),) * 2)
+        with pytest.raises(ShapeError):
+            make_spec("1.2", 2, params=make_spec("1.2", 1).params)
+
+    def test_parameters_of_another_family_rejected(self):
+        with pytest.raises(UsageError):
+            make_spec("1.1", 1, params=make_spec("1.2", 1).params)
 
 
 class TestAdjudication:

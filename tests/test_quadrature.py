@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import betaln, roots_jacobi
 
-from ekstat.errors import EvaluationError, ParameterError
-from ekstat.quadrature import (
-    TensorRule,
-    integrate_unit,
-    jacobi_rule,
-    semiaxis_log_rule,
-    tensor_integrate,
-)
+from ekstat.errors import ParameterError
+from ekstat.quadrature import jacobi_rule, semiaxis_log_rule
 
 # exponent pairs drawn from the operator test matrix (alpha-1, zeta-1 style)
 EXPONENT_PAIRS = [
@@ -57,12 +51,12 @@ def test_single_node_midpoint():
 def test_sqrt_weight_mass():
     # integral (1-t)^0.5 dt = 2/3
     rule = jacobi_rule(8, 0.5, 0.0)
-    assert integrate_unit(rule, lambda t: np.ones_like(t)) == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert rule.weights @ np.ones_like(rule.nodes) == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
 def test_degree_five_against_fractional_weight():
     rule = jacobi_rule(8, 0.3, 0.7)
-    approx = integrate_unit(rule, lambda t: t**5)
+    approx = rule.weights @ rule.nodes**5
     assert approx == pytest.approx(closed_form_moment(5, 0.3, 0.7), rel=1e-12)
 
 
@@ -84,60 +78,16 @@ def test_parameter_validation():
         jacobi_rule(0, 0.0, 0.0)
 
 
-def test_integrate_unit_constant_and_parabola():
-    rule = jacobi_rule(4, 0.0, 0.0)
-    assert integrate_unit(rule, lambda t: 3.0 * np.ones_like(t)) == pytest.approx(3.0)
-    assert integrate_unit(rule, lambda t: t**2) == pytest.approx(1.0 / 3.0, rel=1e-13)
-
-
-def test_integrate_unit_rejects_nonfinite():
-    rule = jacobi_rule(8, 0.0, 0.0)
-    with pytest.raises(EvaluationError) as info:
-        integrate_unit(rule, lambda t: np.where(t > 0.5, np.inf, 1.0))
-    assert info.value.point is not None
-
-
 def test_refinement_convergence_on_smooth_integrand():
     exact = math.e - 1.0
     errors = []
     for n in (8, 16, 32, 64):
         rule = jacobi_rule(n, 0.0, 0.0)
-        errors.append(abs(integrate_unit(rule, np.exp) - exact))
+        errors.append(abs(rule.weights @ np.exp(rule.nodes) - exact))
     assert all(e2 < e1 or e2 < 1e-15 for e1, e2 in zip(errors, errors[1:]))
     rule_n, rule_2n = jacobi_rule(8, 0.0, 0.0), jacobi_rule(16, 0.0, 0.0)
-    delta = abs(integrate_unit(rule_n, np.exp) - integrate_unit(rule_2n, np.exp))
+    delta = abs(rule_n.weights @ np.exp(rule_n.nodes) - rule_2n.weights @ np.exp(rule_2n.nodes))
     assert delta < 1e-10
-
-
-def test_tensor_separable_product():
-    rules = TensorRule((jacobi_rule(12, 0.3, 0.0), jacobi_rule(12, 0.0, 0.7)))
-    one_d = [
-        integrate_unit(rules.rules[0], lambda t: np.exp(t)),
-        integrate_unit(rules.rules[1], lambda t: 1.0 / (1.0 + t)),
-    ]
-    joint = tensor_integrate(rules, lambda p: np.exp(p[:, 0]) / (1.0 + p[:, 1]))
-    assert joint == pytest.approx(one_d[0] * one_d[1], rel=1e-13)
-
-
-def test_tensor_constant_is_product_of_masses():
-    rules = TensorRule((jacobi_rule(6, 0.5, 0.0), jacobi_rule(6, 0.0, 1.5)))
-    mass = math.exp(rules.rules[0].log_mass) * math.exp(rules.rules[1].log_mass)
-    val = tensor_integrate(rules, lambda p: np.ones(p.shape[0]))
-    assert val == pytest.approx(mass, rel=1e-13)
-
-
-def test_tensor_bilinear_uniform():
-    rules = TensorRule((jacobi_rule(8, 0.0, 0.0), jacobi_rule(8, 0.0, 0.0)))
-    val = tensor_integrate(rules, lambda p: p[:, 0] * p[:, 1])
-    assert val == pytest.approx(0.25, rel=1e-13)
-
-
-def test_tensor_partitioned_matches_serial():
-    rules = TensorRule((jacobi_rule(24, 0.2, -0.4), jacobi_rule(24, 0.0, 0.6)))
-    h = lambda p: np.exp(-p[:, 0]) * np.cos(p[:, 1])
-    serial = tensor_integrate(rules, h, workers=1, chunk=64)
-    split = tensor_integrate(rules, h, workers=4, chunk=37)
-    assert abs(serial - split) <= 1e-13 * abs(serial)
 
 
 def test_semiaxis_rules_integrate_gamma_mass():
