@@ -41,7 +41,7 @@ from .kober import (
     pathway_kober2_eval,
 )
 from .reporting import dumps_csv, dumps_json, timestamp
-from .streams import default_workers
+from .streams import check_workers, default_workers
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -95,6 +95,11 @@ def _family_params(cfg, family):
     return family.build(values)
 
 
+def _flags_error(what, family, used) -> UsageError:
+    return UsageError(f"{what} takes {' '.join(map(_flag, family.fields))}; "
+                      f"got {' '.join(map(_flag, sorted(used)))}")
+
+
 # every identity's parameter flags, with a family that declares each
 _IDENTITY_FLAGS = {name: rec.family for rec in IDENTITIES.values() for name in rec.family.fields}
 
@@ -109,8 +114,7 @@ def _identity_params(cfg, given):
     # a field with a built-in default (alpha_last) may be left out
     if not used <= set(family.fields) or any(n not in given and n not in _DEFAULTS
                                              for n in family.fields):
-        raise UsageError(f"identity {cfg['theorem']} takes {' '.join(map(_flag, family.fields))}; "
-                         f"got {' '.join(map(_flag, sorted(used)))}")
+        raise _flags_error(f"identity {cfg['theorem']}", family, used)
     return _family_params(cfg, family)
 
 
@@ -139,7 +143,11 @@ def _cmd_eval(cfg, given) -> int:
     kind = cfg["kind"]
     if kind not in _EVAL_FNS:
         raise UsageError(f"unknown operator kind {kind!r}")
-    params = _family_params(cfg, PATHWAY if kind.startswith("pathway") else CLASSICAL)
+    family = PATHWAY if kind.startswith("pathway") else CLASSICAL
+    used = given & _IDENTITY_FLAGS.keys()
+    if not used <= set(family.fields):
+        raise _flags_error(f"operator kind {kind}", family, used)
+    params = _family_params(cfg, family)
     f = parse_density(cfg["density"], cfg["k"])
     points = [np.asarray(_floats(p)) for p in cfg["point"]]
     results = []
@@ -263,7 +271,9 @@ def _add_common(sp):
     sp.add_argument("--nodes", type=int, help="quadrature nodes per dimension")
     sp.add_argument("--format", choices=("json", "csv"), help="report format")
     sp.add_argument("--out", help="report path (stdout when omitted)")
-    sp.add_argument("--workers", type=int, help="worker count (env EKSTAT_WORKERS)")
+    sp.add_argument("--workers", type=int,
+                    help="threads for sampling, a positive integer (env EKSTAT_WORKERS); "
+                         "at most the CPU count run, and the draws do not depend on it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,18 +333,21 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, set]:
     import json
 
     cfg = dict(_DEFAULTS)
-    cfg["workers"] = default_workers()
     flags = {k: v for k, v in vars(args).items() if v is not None}
     path = flags.pop("config", None)
     given = set(flags)
     if path:
         with open(path) as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except ValueError as exc:
+                raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
         cfg.update(file_cfg)
         given.update(file_cfg)
     cfg.update(flags)
+    cfg["workers"] = check_workers(cfg["workers"]) if "workers" in cfg else default_workers()
     return cfg, given
 
 

@@ -21,7 +21,7 @@ from scipy.special import gammaincinv, gammaln
 
 from . import transforms
 from .errors import ParameterError, ShapeError
-from .streams import uniform_block_parallel
+from .streams import map_uniform_rows
 
 
 # ---------------------------------------------------------------------------
@@ -333,27 +333,27 @@ def beta_from_uniforms(u: np.ndarray, first: float, second: float) -> np.ndarray
 
 def beta1_sample(p: BetaParams, n: int, seed: int, workers: int = 1) -> SampleMatrix:
     """n independent type-1 beta draws; deterministic given ``seed``."""
-    u = uniform_block_parallel(seed, n, 2, workers)
-    return SampleMatrix(beta_from_uniforms(u, p.first, p.second)[:, None], seed)
+    draw = lambda u: beta_from_uniforms(u, p.first, p.second)[:, None]
+    return SampleMatrix(map_uniform_rows(draw, seed, n, 2, 1, workers), seed)
 
 
 def dirichlet1_sample(p: DirichletParams, n: int, seed: int, workers: int = 1) -> SampleMatrix:
     """Dirichlet rows via gamma normalization; rows lie on the open simplex."""
-    u = uniform_block_parallel(seed, n, p.dim + 1, workers)
-    return SampleMatrix(dirichlet_from_uniforms(u, p), seed)
+    draw = lambda u: dirichlet_from_uniforms(u, p)
+    return SampleMatrix(map_uniform_rows(draw, seed, n, p.dim + 1, p.dim, workers), seed)
 
 
 def gen_dirichlet1_sample(p: GenDirichletParams, n: int, seed: int, workers: int = 1) -> SampleMatrix:
     """Generalized Dirichlet rows: independent betas pushed through the
     inverse triangular map."""
     derived = transforms.derived_beta_params("thm1_3", p.alphas, betas=p.betas)
-    u = uniform_block_parallel(seed, n, 2 * p.dim, workers)
-    y = beta_product_from_uniforms(u, [(f, s, 1.0) for f, s in derived.pairs])
-    return SampleMatrix(transforms.inverse(y), seed)
+    triples = [(f, s, 1.0) for f, s in derived.pairs]
+    draw = lambda u: transforms.inverse(beta_product_from_uniforms(u, triples))
+    return SampleMatrix(map_uniform_rows(draw, seed, n, 2 * p.dim, p.dim, workers), seed)
 
 
 def pathway_sample(p: PathwayDimParams, n: int, seed: int, workers: int = 1) -> SampleMatrix:
     """Pathway draws as scaled type-1 betas on (0, 1/(a(1-q)))."""
-    u = uniform_block_parallel(seed, n, 2, workers)
     triple = (p.zeta + 1.0, p.tail_exponent + 1.0, p.scale_factor)
-    return SampleMatrix(beta_product_from_uniforms(u, (triple,)), seed)
+    draw = lambda u: beta_product_from_uniforms(u, (triple,))
+    return SampleMatrix(map_uniform_rows(draw, seed, n, 2, 1, workers), seed)

@@ -48,7 +48,7 @@ from .errors import (
     UsageError,
 )
 from .quadrature import DEFAULT_NODES, jacobi_rule, semiaxis_log_rule
-from .streams import uniform_block_parallel
+from .streams import map_uniform_rows
 from .transforms import derived_beta_params
 
 MAX_TENSOR_DIM = 6
@@ -118,8 +118,8 @@ class MultiDensity:
         """Exact draws from the density; deterministic given ``seed``."""
         if self.from_uniforms is None or self.uniform_cols is None:
             raise UsageError(f"density {self.name or '<anonymous>'} has no sampler")
-        u = uniform_block_parallel(seed, n, self.uniform_cols, workers)
-        return SampleMatrix(self.from_uniforms(u), seed)
+        return SampleMatrix(map_uniform_rows(self.from_uniforms, seed, n, self.uniform_cols,
+                                             self.dim, workers), seed)
 
 
 @dataclass(frozen=True)

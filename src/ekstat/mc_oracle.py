@@ -16,14 +16,16 @@ identity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-# The sampling path draws through ``densities`` and no longer calls
-# ``gammaincinv`` or ``beta_from_uniforms`` here; both names stay importable
-# from this module because benchmarks/tracing.py wraps them by name.
+# The sampling path draws through ``densities`` and ``streams.run_rows`` and
+# no longer calls ``gammaincinv``, ``beta_from_uniforms`` or
+# ``uniform_block_parallel`` here; the names stay importable from this module
+# because benchmarks/tracing.py wraps them by name.
 from scipy.special import gammaincinv  # noqa: F401
 
 from . import transforms
@@ -45,12 +47,14 @@ from .kober import (
     setup_from_triples,
 )
 from .quadrature import DEFAULT_NODES
-from .streams import uniform_block_parallel
+from .streams import run_rows, uniform_block, uniform_block_parallel  # noqa: F401
 
 MAX_VERIFY_DIM = 3
 
 _PROBE_LEVELS = (0.1, 0.3, 0.5, 0.7, 0.9)
 _BANDWIDTH_FRAC = {1: 0.02, 2: 0.07, 3: 0.12}
+# memory for the cached per-dimension box indicator rows (one byte per sample)
+_INDICATOR_BYTES = 1 << 26
 
 # pass policy: at least this fraction of probes within 4 SE, none beyond 6
 _PASS_FRACTION = 0.95
@@ -120,25 +124,36 @@ def simulate_parts(spec: TheoremSpec, n: int, seed: int, workers: int = 1) -> di
     Returns a dict with the mixing vector ``x``, the ratio coordinates
     ``y`` (identical to x for the independent families), the f-draws ``v``
     and the combined vector ``u``.  The betas drawn for a triangular
-    identity are the ratio coordinates of x.
+    identity are the ratio coordinates of x.  Every stage is row-wise, so
+    each row range runs the whole construction on its own uniforms.
     """
     if spec.f.from_uniforms is None or spec.f.uniform_cols is None:
         raise UsageError("the identity's density f carries no sampler")
     rec = identity_record(spec.theorem)
     dirichlet = isinstance(spec.params, DirichletParams)
     cols_x = spec.k + 1 if dirichlet else 2 * spec.k
-    u_block = uniform_block_parallel(seed, n, cols_x + spec.f.uniform_cols, workers)
-    ux, uf = u_block[:, :cols_x], u_block[:, cols_x:]
-    v = spec.f.from_uniforms(uf)
+    triples = None if dirichlet else rec.beta(spec.params).triples
+    x, v, u = (np.empty((max(n, 0), spec.k)) for _ in range(3))
+    y = np.empty_like(x) if rec.triangular else x
 
-    if dirichlet:
-        x = dirichlet_from_uniforms(ux, spec.params)
-    else:
-        x = beta_product_from_uniforms(ux, rec.beta(spec.params).triples)
+    def fill(start, count):
+        rows = slice(start, start + count)
+        block = uniform_block(seed, n, cols_x + spec.f.uniform_cols, start, count)
+        ux, uf = block[:, :cols_x], block[:, cols_x:]
+        v[rows] = spec.f.from_uniforms(uf)
+        if dirichlet:
+            x[rows] = dirichlet_from_uniforms(ux, spec.params)
+        else:
+            betas = beta_product_from_uniforms(ux, triples)
+            x[rows] = transforms.inverse(betas) if rec.triangular else betas
         if rec.triangular:
-            x = transforms.inverse(x)
-    y = transforms.forward(x) if rec.triangular else x
-    u = y * v if rec.kind == "second" else v / y
+            y[rows] = transforms.forward(x[rows])
+        if rec.kind == "second":
+            np.multiply(y[rows], v[rows], out=u[rows])
+        else:
+            np.divide(v[rows], y[rows], out=u[rows])
+
+    run_rows(fill, n, workers)
     return {"x": x, "y": y, "v": v, "u": u}
 
 
@@ -170,19 +185,26 @@ def histogram_estimate(samples, probes, bandwidths):
     if n < 10_000:
         raise UsageError("histogram estimation needs at least 1e4 samples")
     volume = float(np.prod(h))
-    est = np.empty(probes.shape[0])
-    se = np.empty(probes.shape[0])
-    low = np.zeros(probes.shape[0], dtype=bool)
+    cols = [np.ascontiguousarray(data[:, j]) for j in range(data.shape[1])]
+
+    # one indicator row per dimension and probe coordinate; a probe's box
+    # is the AND of its k rows, so repeated coordinates cost one pass each
+    @functools.lru_cache(maxsize=max(len(cols), _INDICATOR_BYTES // n))
+    def indicator(j, c):
+        return np.abs(cols[j] - c) <= h[j] / 2.0
+
+    counts = np.empty(probes.shape[0], dtype=np.int64)
+    both = np.empty(n, dtype=bool)
     for i, p in enumerate(probes):
-        inside = np.all(np.abs(data - p) <= h / 2.0, axis=1)
-        count = int(np.count_nonzero(inside))
-        phat = count / n
-        est[i] = phat / volume
-        if count == 0:
-            low[i] = True
-            phat = 1.0 / n
-        se[i] = math.sqrt(phat * (1.0 - phat) / n) / volume
-    return est, se, low
+        inside = indicator(0, p[0])
+        for j in range(1, len(cols)):
+            inside = np.logical_and(inside, indicator(j, p[j]), out=both)
+        counts[i] = np.count_nonzero(inside)
+    phat = counts / n
+    low = counts == 0
+    phat_se = np.where(low, 1.0 / n, phat)
+    se = np.sqrt(phat_se * (1.0 - phat_se) / n) / volume
+    return phat / volume, se, low
 
 
 def default_probes(samples, per_dim: int = 5):
@@ -197,8 +219,8 @@ def default_probes(samples, per_dim: int = 5):
     if k not in _BANDWIDTH_FRAC:
         raise SizeError(f"probe grids support at most {MAX_VERIFY_DIM} dimensions")
     levels = np.linspace(_PROBE_LEVELS[0], _PROBE_LEVELS[-1], per_dim)
-    qs = np.quantile(data, levels, axis=0)                  # (per_dim, k)
-    lo, q25, q75, hi = np.quantile(data, [0.05, 0.25, 0.75, 0.95], axis=0)
+    qs = np.quantile(data, np.concatenate([levels, [0.05, 0.25, 0.75, 0.95]]), axis=0)
+    qs, (lo, q25, q75, hi) = qs[:per_dim], qs[per_dim:]     # (per_dim, k), 4 x (k,)
     # robust scale: the central 90% range unless the tails dominate it
     scale = np.minimum(hi - lo, 2.7 * (q75 - q25))
     bandwidths = _BANDWIDTH_FRAC[k] * scale

@@ -62,6 +62,14 @@ class TestEval:
         assert code == cli.EXIT_USAGE
         assert "6" in capsys.readouterr().err
 
+    def test_other_family_parameters_are_usage_error(self, capsys):
+        code = run_cli([
+            "eval", "--kind", "second", "--k", "1", "--zeta", "0.5", "--alpha", "1.5",
+            "--a", "3", "--q", "0.9", "--point", "1.0",
+        ])
+        assert code == cli.EXIT_USAGE
+        assert "--zeta --alpha" in capsys.readouterr().err
+
 
 class TestMellinCheck:
     def test_pass_and_report(self, tmp_path):
@@ -241,3 +249,30 @@ class TestExitCodes:
 
     def test_malformed_family_exits_two(self):
         assert run_cli(["sample", "--family", "beta:1"]) == cli.EXIT_USAGE
+
+    def test_config_that_is_not_json_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("")
+        code = run_cli(["verify", "--theorem", "1.1", "--k", "1", "--config", str(cfg)])
+        assert code == cli.EXIT_USAGE
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_config_that_is_not_an_object_exits_two(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        code = run_cli(["verify", "--theorem", "1.1", "--k", "1", "--config", str(cfg)])
+        assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_non_positive_workers_exit_two(self, workers, capsys):
+        code = run_cli(["sample", "--family", "gamma:2", "--workers", workers])
+        assert code == cli.EXIT_USAGE
+        assert "workers must be a positive integer" in capsys.readouterr().err
+
+    def test_unreadable_workers_variable_exits_two(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setenv("EKSTAT_WORKERS", "abc")
+        assert run_cli(["sample", "--family", "gamma:2"]) == cli.EXIT_USAGE
+        assert "EKSTAT_WORKERS" in capsys.readouterr().err
+        # an explicit flag takes precedence over the variable
+        assert run_cli(["sample", "--family", "gamma:2", "--workers", "2",
+                        "--out", str(tmp_path / "s.json")]) == cli.EXIT_OK
