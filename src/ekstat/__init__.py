@@ -67,7 +67,7 @@ from .mellin import (
     mellin_numeric,
 )
 from .quadrature import QuadratureRule, jacobi_rule
-from .transforms import DerivedBetaParams, derived_beta_params, forward, inverse, jacobian
+from .transforms import forward, inverse, jacobian, ratio_beta_pairs
 
 __version__ = "0.1.0"
 

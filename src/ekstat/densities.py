@@ -68,6 +68,12 @@ class DirichletParams:
     def dim(self) -> int:
         return len(self.alphas)
 
+    @property
+    def betas(self) -> tuple[float, ...]:
+        """Partial-sum exponents of the same density read as a generalized
+        Dirichlet: ``(0, ..., 0, alpha_last)``."""
+        return (0.0,) * (self.dim - 1) + (self.alpha_last,)
+
 
 @dataclass(frozen=True)
 class GenDirichletParams:
@@ -75,8 +81,9 @@ class GenDirichletParams:
 
     Density proportional to
     ``prod_j x_j^alphas[j] (1 - x_1 - ... - x_j)^(betas[j] - [j == k])`` on
-    the nested simplex.  Validity requires every derived second beta
-    parameter to be positive; see :func:`ekstat.transforms.derived_beta_params`.
+    the nested simplex.  Under the triangular map its ratio coordinates are
+    independent betas, and the density is valid exactly when every pair of
+    :func:`ekstat.transforms.ratio_beta_pairs` is positive.
     """
 
     alphas: tuple[float, ...]
@@ -85,12 +92,7 @@ class GenDirichletParams:
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
-        if len(self.alphas) != len(self.betas) or len(self.alphas) < 1:
-            raise ParameterError("alphas and betas must be equal-length, non-empty")
-        if any(a <= -1.0 for a in self.alphas):
-            raise ParameterError("each alpha exponent must exceed -1")
-        # raises ParameterError when any derived pair is non-positive
-        transforms.derived_beta_params("thm1_3", self.alphas, betas=self.betas)
+        transforms.ratio_beta_pairs(self.alphas, self.betas)
 
     @property
     def dim(self) -> int:
@@ -180,41 +182,24 @@ def dirichlet1_pdf(x, p: DirichletParams):
 
     ``x`` has shape (..., k) with k = ``p.dim``.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != p.dim:
-        raise ShapeError(f"points must have {p.dim} coordinates, got {x.shape[-1]}")
-    scalar = x.ndim == 1
-    total = np.sum(x, axis=-1)
-    inside = np.all(x > 0.0, axis=-1) & (total < 1.0)
-    xs = np.where(inside[..., None], x, 0.25 / p.dim)
-    rem = np.where(inside, 1.0 - np.sum(xs, axis=-1), 0.5)
-    a = np.asarray(p.alphas)
-    logc = (
-        gammaln(np.sum(a + 1.0) + p.alpha_last)
-        - np.sum(gammaln(a + 1.0))
-        - gammaln(p.alpha_last)
-    )
-    logpdf = logc + np.sum(a * np.log(xs), axis=-1) + (p.alpha_last - 1.0) * np.log(rem)
-    return _with_support(np.exp(logpdf), inside, scalar)
+    return gen_dirichlet1_pdf(x, p)
 
 
-def gen_dirichlet1_log_norm(p: GenDirichletParams) -> float:
+def gen_dirichlet1_log_norm(p: GenDirichletParams | DirichletParams) -> float:
     """Log normalizing constant of the generalized Dirichlet density.
 
     Assembled from the independent-beta factorization under the triangular
     map; validated numerically by the quadrature normalization tests.
     """
-    derived = transforms.derived_beta_params("thm1_3", p.alphas, betas=p.betas)
-    return float(
-        sum(
-            gammaln(f + s) - gammaln(f) - gammaln(s)
-            for f, s in derived.pairs
-        )
-    )
+    pairs = transforms.ratio_beta_pairs(p.alphas, p.betas)
+    return float(sum(gammaln(f + s) - gammaln(f) - gammaln(s) for f, s in pairs))
 
 
-def gen_dirichlet1_pdf(x, p: GenDirichletParams):
-    """Generalized type-1 Dirichlet density on the nested simplex; 0 outside."""
+def gen_dirichlet1_pdf(x, p: GenDirichletParams | DirichletParams):
+    """Generalized type-1 Dirichlet density on the nested simplex; 0 outside.
+
+    A :class:`DirichletParams` record reads as its partial-sum exponents.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != p.dim:
         raise ShapeError(f"points must have {p.dim} coordinates, got {x.shape[-1]}")
@@ -346,8 +331,7 @@ def dirichlet1_sample(p: DirichletParams, n: int, seed: int, workers: int = 1) -
 def gen_dirichlet1_sample(p: GenDirichletParams, n: int, seed: int, workers: int = 1) -> SampleMatrix:
     """Generalized Dirichlet rows: independent betas pushed through the
     inverse triangular map."""
-    derived = transforms.derived_beta_params("thm1_3", p.alphas, betas=p.betas)
-    triples = [(f, s, 1.0) for f, s in derived.pairs]
+    triples = [(f, s, 1.0) for f, s in transforms.ratio_beta_pairs(p.alphas, p.betas)]
     draw = lambda u: transforms.inverse(beta_product_from_uniforms(u, triples))
     return SampleMatrix(map_uniform_rows(draw, seed, n, 2 * p.dim, p.dim, workers), seed)
 

@@ -47,9 +47,9 @@ from .errors import (
     SizeError,
     UsageError,
 )
-from .quadrature import DEFAULT_NODES, jacobi_rule, semiaxis_log_rule
+from .quadrature import _EXP_SINH_HI, _EXP_SINH_LO, DEFAULT_NODES, jacobi_rule, semiaxis_log_rule
 from .streams import map_uniform_rows
-from .transforms import derived_beta_params
+from .transforms import ratio_beta_pairs
 
 MAX_TENSOR_DIM = 6
 
@@ -204,8 +204,8 @@ class _DimQuad:
         logw_edge = (np.log(edge.weights_unit) + edge.log_mass - gammaln(a)
                      + (z + a) * lu - (z + a) * np.log(v_edge))
         # tail nodes: v = 2u (1 + e^(w - e^-w)), scaled to the density
-        w_hi = max(6.8, math.log(350.0 * self.f_scale / u_eff))
-        w = np.linspace(-4.45, w_hi, n_tail)
+        w_hi = max(_EXP_SINH_HI, math.log(350.0 * self.f_scale / u_eff))
+        w = np.linspace(_EXP_SINH_LO, w_hi, n_tail)
         h = w[1] - w[0]
         e = np.exp(w - np.exp(-w))
         v_tail = 2.0 * u_eff * (1.0 + e)
@@ -473,14 +473,31 @@ def _per_dim_laws(shift: float) -> Callable[[object], BetaLaws]:
     return lambda p: BetaLaws(tuple((z + shift, a, c) for z, a, c in map(_zeta_alpha_c, p)))
 
 
-def _dirichlet_laws(variant: str, shift: float = 0.0) -> Callable[[object], BetaLaws]:
-    """Beta laws of a Dirichlet-type record; the first-kind identities
-    catalogue each alpha one above its sampling exponent (``shift`` = 1)."""
+def _dirichlet_laws(printed: Callable | None = None,
+                    note: str = "") -> Callable[[object], BetaLaws]:
+    """Beta laws of a Dirichlet-type record: its ratio coordinates follow
+    :func:`ratio_beta_pairs`.  ``printed`` maps the record and those pairs
+    to the source's as-printed reading, which ``note`` describes."""
     def laws(p) -> BetaLaws:
-        d = derived_beta_params(variant, tuple(a + shift for a in p.alphas),
-                                getattr(p, "alpha_last", None), getattr(p, "betas", None))
-        return BetaLaws(tuple((f, s, 1.0) for f, s in d.pairs), d.alt_pairs, d.alt_note)
+        pairs = ratio_beta_pairs(p.alphas, p.betas)
+        return BetaLaws(tuple((f, s, 1.0) for f, s in pairs),
+                        printed(p, pairs) if printed else None, note)
     return laws
+
+
+def _printed_1_3(p, pairs):
+    """1.3 as printed: alphas_k is missing from second_j for j < k."""
+    return tuple((f, s - p.alphas[-1]) for f, s in pairs[:-1]) + pairs[-1:]
+
+
+def _printed_2_4(p, pairs):
+    """2.4 as printed: alpha_last is missing from every second_j."""
+    return tuple((f, s - p.alpha_last) for f, s in pairs)
+
+
+def _printed_2_5(p, pairs):
+    """2.5 as printed: the derived pairs themselves."""
+    return pairs
 
 
 _PATHWAY_DEFAULTS = {"a": (1.0, 1.5, 1.0), "q": (0.5, 0.25, 0.5), "eta": (1.0, 2.0, 1.0)}
@@ -491,10 +508,11 @@ IDENTITIES = {
         _per_dim_laws(1.0)),
     "1.2": Identity(
         "second", DIRICHLET, {"alphas": (0.5, 1.0, 0.5), "alpha_last": 2.0},
-        _dirichlet_laws("thm1_2"), triangular=True),
+        _dirichlet_laws(), triangular=True),
     "1.3": Identity(
         "second", GEN_DIRICHLET, {"alphas": (0.5, 1.0, 0.5), "betas": (1.0, 2.0, 1.5)},
-        _dirichlet_laws("thm1_3"), triangular=True),
+        _dirichlet_laws(_printed_1_3, "printed running sum stops one alpha term early"),
+        triangular=True),
     "1.4": Identity(
         "second", PATHWAY, {**_PATHWAY_DEFAULTS, "zeta": (0.0, 0.8, 0.5)}, _per_dim_laws(1.0),
         notes=("second-kind pathway kernel includes the inverse power "
@@ -514,10 +532,14 @@ IDENTITIES = {
     # sampling exponents: the catalogued alphas (2, 3, 2) minus one
     "2.4": Identity(
         "first", DIRICHLET, {"alphas": (1.0, 2.0, 1.0), "alpha_last": 1.0},
-        _dirichlet_laws("thm2_4", shift=1.0), triangular=True),
+        _dirichlet_laws(_printed_2_4, "printed second parameters omit the final simplex "
+                        "exponent; the last pair degenerates to zero there"),
+        triangular=True),
     "2.5": Identity(
         "first", GEN_DIRICHLET, {"alphas": (1.0, 2.0, 1.0), "betas": (1.0, 2.0, 1.5)},
-        _dirichlet_laws("thm2_5", shift=1.0), triangular=True),
+        _dirichlet_laws(_printed_2_5, "printed and derivation-consistent parameter sums "
+                        "coincide"),
+        triangular=True),
 }
 IDENTITY_IDS = tuple(IDENTITIES)
 

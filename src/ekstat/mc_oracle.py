@@ -51,7 +51,9 @@ from .streams import run_rows, uniform_block, uniform_block_parallel  # noqa: F4
 
 MAX_VERIFY_DIM = 3
 
-_PROBE_LEVELS = (0.1, 0.3, 0.5, 0.7, 0.9)
+# quantile levels of the probe grid; the report's probes depend on these
+# bit for bit, and linspace's second level is 0.30000000000000004, not 0.3
+_PROBE_LEVELS = np.linspace(0.1, 0.9, 5)
 _BANDWIDTH_FRAC = {1: 0.02, 2: 0.07, 3: 0.12}
 # memory for the cached per-dimension box indicator rows (one byte per sample)
 _INDICATOR_BYTES = 1 << 26
@@ -207,7 +209,7 @@ def histogram_estimate(samples, probes, bandwidths):
     return phat / volume, se, low
 
 
-def default_probes(samples, per_dim: int = 5):
+def default_probes(samples):
     """Interior probe grid and box bandwidths from sample quantiles.
 
     Probes sit at the 10..90 percent quantiles per dimension (tensor grid);
@@ -218,9 +220,8 @@ def default_probes(samples, per_dim: int = 5):
     k = data.shape[1]
     if k not in _BANDWIDTH_FRAC:
         raise SizeError(f"probe grids support at most {MAX_VERIFY_DIM} dimensions")
-    levels = np.linspace(_PROBE_LEVELS[0], _PROBE_LEVELS[-1], per_dim)
-    qs = np.quantile(data, np.concatenate([levels, [0.05, 0.25, 0.75, 0.95]]), axis=0)
-    qs, (lo, q25, q75, hi) = qs[:per_dim], qs[per_dim:]     # (per_dim, k), 4 x (k,)
+    qs = np.quantile(data, np.concatenate([_PROBE_LEVELS, [0.05, 0.25, 0.75, 0.95]]), axis=0)
+    qs, (lo, q25, q75, hi) = qs[:-4], qs[-4:]     # (levels, k), 4 x (k,)
     # robust scale: the central 90% range unless the tails dominate it
     scale = np.minimum(hi - lo, 2.7 * (q75 - q25))
     bandwidths = _BANDWIDTH_FRAC[k] * scale
@@ -386,14 +387,14 @@ def verify(
     constant_scale: float = 1.0,
     workers: int = 1,
     samples: SampleMatrix | None = None,
-    bandwidths=None,
 ) -> VerificationReport:
     """Run one identity verification and assemble its report.
 
     ``constant_scale`` multiplies the density constant (a value other than
     1 is a deliberate corruption for negative-control checks).  ``samples``
     may carry a pre-simulated :class:`SampleMatrix` to reuse draws across
-    policy variations.
+    policy variations.  Box bandwidths always come from
+    :func:`default_probes`, also for user ``probes``.
     """
     if spec.k > MAX_VERIFY_DIM:
         raise SizeError(f"verification supports at most {MAX_VERIFY_DIM} dimensions")
@@ -404,13 +405,8 @@ def verify(
     else:
         n_samples = samples.n
         seed = samples.seed
-    if probes is None:
-        probes, auto_bw = default_probes(samples)
-        bandwidths = auto_bw if bandwidths is None else np.asarray(bandwidths, float)
-    else:
-        probes = np.atleast_2d(np.asarray(probes, dtype=float))
-        if bandwidths is None:
-            _, bandwidths = default_probes(samples)
+    grid, bandwidths = default_probes(samples)
+    probes = grid if probes is None else np.atleast_2d(np.asarray(probes, dtype=float))
     if np.any(probes <= 0.0):
         raise ParameterError("probes must lie in the interior of the positive orthant")
 
@@ -446,7 +442,7 @@ def verify(
                 fraction_within_4se=frac_c, max_abs_z=max_c, passed=pass_c, note=note,
             ))
         winners = [c.label for c in cand_results if c.passed]
-        if len(cands) == 1 or cands[0].pairs == cands[-1].pairs:
+        if cands[0].pairs == cands[-1].pairs:
             adjudication = (
                 "printed and derivation-consistent parameter sets coincide; "
                 + ("the common set passes" if winners else "the common set fails")
@@ -471,7 +467,7 @@ def verify(
         density=spec.f.name,
         params=_params_echo(spec),
         probes=tuple(tuple(float(c) for c in p) for p in probes),
-        bandwidths=tuple(float(b) for b in np.asarray(bandwidths)),
+        bandwidths=tuple(float(b) for b in bandwidths),
         empirical=tuple(float(v) for v in empirical),
         se=tuple(float(v) for v in se),
         low_count=tuple(bool(b) for b in low),

@@ -15,6 +15,7 @@ the integrand.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,9 +56,13 @@ class QuadratureRule:
 
     @property
     def weights(self) -> np.ndarray:
-        """True quadrature weights (may underflow for extreme exponents)."""
-        return self.weights_unit * math.exp(self.log_mass) if self.log_mass > -700 \
-            else self.weights_unit * 0.0
+        """True quadrature weights; raises FloatingPointError when the mass
+        is below the smallest normal float (use ``log_mass`` there)."""
+        mass = math.exp(self.log_mass)
+        if mass < sys.float_info.min:
+            raise FloatingPointError(
+                f"weight mass exp(log_mass) underflows: log_mass={self.log_mass}")
+        return self.weights_unit * mass
 
     def __len__(self) -> int:
         return self.nodes.size
@@ -115,7 +120,6 @@ def semiaxis_log_rule(
     n: int,
     tail: str = "exp",
     log_scale: float = 0.0,
-    half_width: float = _SINH_HALF_WIDTH,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Double-exponential nodes for ``integral_0^inf g(x) dx`` in log form.
 
@@ -137,7 +141,7 @@ def semiaxis_log_rule(
         log_x = log_scale + w - np.exp(-w)
         log_w = np.log1p(np.exp(-w)) + math.log(h)
     elif tail == "algebraic":
-        w = np.linspace(-half_width, half_width, n)
+        w = np.linspace(-_SINH_HALF_WIDTH, _SINH_HALF_WIDTH, n)
         h = w[1] - w[0]
         log_x = log_scale + np.pi * np.sinh(w)
         log_w = np.log(np.pi * np.cosh(w) * h)

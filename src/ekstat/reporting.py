@@ -24,9 +24,9 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_json(obj, out: io.StringIO, indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _write_json(obj, out: io.StringIO, level: int) -> None:
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if isinstance(obj, dict):
         if not obj:
             out.write("{}")
@@ -34,7 +34,7 @@ def _write_json(obj, out: io.StringIO, indent: int, level: int) -> None:
         out.write("{\n")
         for i, (key, val) in enumerate(obj.items()):
             out.write(f'{pad_in}"{key}": ')
-            _write_json(val, out, indent, level + 1)
+            _write_json(val, out, level + 1)
             out.write(",\n" if i < len(obj) - 1 else "\n")
         out.write(pad + "}")
     elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
@@ -45,7 +45,7 @@ def _write_json(obj, out: io.StringIO, indent: int, level: int) -> None:
         out.write("[\n")
         for i, val in enumerate(items):
             out.write(pad_in)
-            _write_json(val, out, indent, level + 1)
+            _write_json(val, out, level + 1)
             out.write(",\n" if i < len(items) - 1 else "\n")
         out.write(pad + "]")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -55,7 +55,7 @@ def _write_json(obj, out: io.StringIO, indent: int, level: int) -> None:
     elif isinstance(obj, (int, np.integer)):
         out.write(str(int(obj)))
     elif isinstance(obj, (complex, np.complexfloating)):
-        _write_json({"re": obj.real, "im": obj.imag}, out, indent, level)
+        _write_json({"re": obj.real, "im": obj.imag}, out, level)
     elif isinstance(obj, (float, np.floating)):
         out.write(_fmt_float(float(obj)))
     elif isinstance(obj, str):
@@ -66,10 +66,11 @@ def _write_json(obj, out: io.StringIO, indent: int, level: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__} to a report")
 
 
-def dumps_json(obj, indent: int = 2) -> str:
-    """Serialize to JSON text with 17-significant-digit floats."""
+def dumps_json(obj) -> str:
+    """Serialize to JSON text with 17-significant-digit floats, indented by
+    two spaces."""
     out = io.StringIO()
-    _write_json(obj, out, indent, 0)
+    _write_json(obj, out, 0)
     out.write("\n")
     return out.getvalue()
 

@@ -3,20 +3,17 @@
 The map sends a point ``x`` with ``0 < x_1 + ... + x_j < 1`` for every j to
 ratios ``y_j = x_j / (1 - x_1 - ... - x_{j-1})`` in the open unit cube.  It
 is the coordinate change under which the Dirichlet-type densities of
-:mod:`ekstat.densities` factor into independent beta laws; the derived beta
-parameter pairs for each catalogued identity live here as well.
+:mod:`ekstat.densities` factor into independent beta laws, whose parameter
+pairs :func:`ratio_beta_pairs` gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, UsageError
-
-VARIANTS = ("thm1_2", "thm1_3", "thm2_4", "thm2_5")
+from .errors import DomainError, ParameterError
 
 
 def _as_points(v, name: str) -> np.ndarray:
@@ -69,106 +66,27 @@ def jacobian(y) -> np.ndarray:
     return out if y.ndim > 1 else float(out)
 
 
-@dataclass(frozen=True)
-class DerivedBetaParams:
-    """Beta parameter pairs that decouple the ratio coordinates.
+def ratio_beta_pairs(alphas: Sequence[float],
+                     betas: Sequence[float]) -> tuple[tuple[float, float], ...]:
+    """Beta laws of the ratio coordinates of a generalized type-1 Dirichlet
+    point (see :class:`ekstat.densities.GenDirichletParams`).
 
-    ``pairs`` holds the derivation-consistent (first, second) parameters of
-    the independent beta laws of y_1..y_k.  For catalogue entries whose
-    printed parameter sums disagree with the derivation, ``alt_pairs``
-    records the as-printed alternative for adjudication; it is None when no
-    alternative exists and equals ``pairs`` when the two readings coincide.
+    y_1..y_k are independent, y_j ~ Beta(first_j, second_j) with
+    ``first_j = alphas_j + 1`` and ``second_j = sum_{i>j} alphas_i +
+    sum_{i>=j} betas_i + (k - j)``.  The type-1 Dirichlet is the case
+    ``betas = (0, ..., 0, alpha_last)``.
     """
-
-    variant: str
-    pairs: tuple[tuple[float, float], ...]
-    alt_pairs: tuple[tuple[float, float], ...] | None = None
-    alt_note: str = ""
-
-    @property
-    def alternative_differs(self) -> bool:
-        return self.alt_pairs is not None and self.alt_pairs != self.pairs
-
-
-def _tail_sums(values: Sequence[float]) -> np.ndarray:
-    """tail_sums(v)[j] = v_{j+1} + ... + v_{k-1} (0-based, excludes index j)."""
-    v = np.asarray(values, dtype=float)
-    return np.concatenate([np.cumsum(v[::-1])[::-1][1:], [0.0]])
-
-
-def derived_beta_params(
-    variant: str,
-    alphas: Sequence[float],
-    alpha_last: float | None = None,
-    betas: Sequence[float] | None = None,
-) -> DerivedBetaParams:
-    """Beta pairs rendering the ratio coordinates independent.
-
-    Parameters
-    ----------
-    variant : str
-        One of ``thm1_2``/``thm2_4`` (simplex-weight families, need
-        ``alpha_last``) or ``thm1_3``/``thm2_5`` (partial-sum-weight
-        families, need ``betas``).
-    alphas : sequence of float
-        Per-coordinate power exponents.
-    alpha_last : float
-        Exponent parameter of the final simplex factor.
-    betas : sequence of float
-        Per-partial-sum exponents.
-    """
-    if variant not in VARIANTS:
-        raise UsageError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     a = np.asarray(alphas, dtype=float)
-    k = a.size
-    if k < 1:
-        raise ParameterError("at least one alpha is required")
-    tails_a = _tail_sums(a)
-    offsets = np.arange(k - 1, -1, -1, dtype=float)  # (k-j) with j 1-based
-
-    if variant in ("thm1_2", "thm2_4"):
-        if alpha_last is None:
-            raise UsageError(f"{variant} requires alpha_last")
-        if variant == "thm1_2":
-            firsts = a + 1.0
-            seconds = tails_a + offsets + alpha_last
-            alt, note = None, ""
-        else:
-            firsts = a
-            seconds = tails_a + alpha_last
-            alt = tuple(zip(firsts.tolist(), tails_a.tolist()))
-            note = (
-                "printed second parameters omit the final simplex exponent; "
-                "the last pair degenerates to zero there"
-            )
-    else:
-        if betas is None:
-            raise UsageError(f"{variant} requires betas")
-        b = np.asarray(betas, dtype=float)
-        if b.size != k:
-            raise ParameterError("betas must have the same length as alphas")
-        tails_b = np.cumsum(b[::-1])[::-1]  # inclusive: b_j + ... + b_k
-        if variant == "thm1_3":
-            firsts = a + 1.0
-            seconds = tails_a + tails_b + offsets
-            # printed display equation truncates the alpha sum one term early
-            trunc = tails_a - np.where(np.arange(k) < k - 1, a[-1], 0.0)
-            alt = tuple(zip(firsts.tolist(), (trunc + tails_b + offsets).tolist()))
-            note = "printed running sum stops one alpha term early"
-        else:
-            firsts = a
-            seconds = tails_a + tails_b
-            alt = tuple(zip(firsts.tolist(), seconds.tolist()))
-            note = "printed and derivation-consistent parameter sums coincide"
-
-    if np.any(firsts <= 0.0) or np.any(seconds <= 0.0):
+    b = np.asarray(betas, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape or a.size < 1:
+        raise ParameterError("alphas and betas must be equal-length, non-empty")
+    later_a = np.concatenate([np.cumsum(a[::-1])[::-1][1:], [0.0]])
+    from_b = np.cumsum(b[::-1])[::-1]
+    firsts = a + 1.0
+    seconds = later_a + from_b + np.arange(a.size - 1, -1, -1, dtype=float)
+    if not (np.all(firsts > 0.0) and np.all(seconds > 0.0)):
         raise ParameterError(
-            f"derived beta parameters must be positive, got firsts={firsts}, "
+            f"ratio beta parameters must be positive, got firsts={firsts}, "
             f"seconds={seconds}"
         )
-    return DerivedBetaParams(
-        variant=variant,
-        pairs=tuple(zip(firsts.tolist(), seconds.tolist())),
-        alt_pairs=alt,
-        alt_note=note,
-    )
+    return tuple(zip(firsts.tolist(), seconds.tolist()))

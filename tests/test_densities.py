@@ -22,7 +22,7 @@ from ekstat.densities import (
     pathway_sample,
 )
 from ekstat.errors import EmptyRequestError, ParameterError
-from ekstat.transforms import derived_beta_params
+from ekstat.transforms import ratio_beta_pairs
 
 LEGGAUSS_N = 400
 
@@ -196,12 +196,11 @@ class TestGenDirichlet:
 
     def test_sampler_first_marginal_is_beta(self):
         # x_1 equals the first ratio coordinate, so its law is the first
-        # derived beta pair
+        # ratio beta pair
         n = 10**5
         gp = GenDirichletParams(alphas=(0.5, 1.0), betas=(1.0, 2.0))
-        derived = derived_beta_params("thm1_3", gp.alphas, betas=gp.betas)
         draws = gen_dirichlet1_sample(gp, n, seed=41).data
-        first, second = derived.pairs[0]
+        first, second = ratio_beta_pairs(gp.alphas, gp.betas)[0]
         res = stats.kstest(draws[:, 0], stats.beta(first, second).cdf)
         assert res.pvalue > 1e-3
 

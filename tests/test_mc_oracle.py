@@ -11,6 +11,7 @@ from ekstat.kober import (
     MultiDensity,
     exponential_product,
     gamma_product,
+    identity_record,
 )
 from ekstat.mc_oracle import (
     default_probes,
@@ -217,6 +218,16 @@ class TestAdjudication:
         p_printed = stats.kstest(parts["y"][:, j], stats.beta(*printed[j]).cdf).pvalue
         assert p_derived > 1e-3
         assert p_printed < 1e-6
+
+
+class TestRatioCoordinateLaws:
+    @pytest.mark.parametrize("theorem", ["1.2", "1.3", "2.4", "2.5"])
+    def test_ratio_coordinates_follow_catalogued_laws(self, theorem):
+        spec = make_spec(theorem, 2)
+        y = simulate_parts(spec, 10**5, seed=49)["y"]
+        for j, (first, second, _) in enumerate(identity_record(theorem).beta(spec.params).triples):
+            p = stats.kstest(y[:, j], stats.beta(first, second).cdf).pvalue
+            assert p > 1e-3, f"{theorem} coordinate {j}: KS p-value {p:.2e}"
 
 
 class TestDefaultProbes:

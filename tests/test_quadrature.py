@@ -48,6 +48,19 @@ def test_single_node_midpoint():
     assert rule.weights[0] == pytest.approx(1.0, rel=1e-15)
 
 
+def test_weights_raise_when_mass_underflows():
+    # B(601, 601) ~ 1e-362 lies below the smallest normal float
+    rule = jacobi_rule(4, 600.0, 600.0)
+    assert rule.log_mass < math.log(np.finfo(float).tiny)
+    assert np.isclose(rule.weights_unit.sum(), 1.0)
+    with pytest.raises(FloatingPointError, match="log_mass"):
+        rule.weights
+    # below -700 but above the underflow the weights are still the true ones
+    rule = jacobi_rule(4, 505.0, 505.0)
+    assert -700.0 > rule.log_mass > math.log(np.finfo(float).tiny)
+    assert rule.weights.sum() == pytest.approx(math.exp(rule.log_mass), rel=1e-12)
+
+
 def test_sqrt_weight_mass():
     # integral (1-t)^0.5 dt = 2/3
     rule = jacobi_rule(8, 0.5, 0.0)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ekstat.densities import DirichletParams, dirichlet1_sample
-from ekstat.errors import DomainError, ParameterError, UsageError
-from ekstat.transforms import derived_beta_params, forward, inverse, jacobian
+from ekstat.densities import DirichletParams, GenDirichletParams, dirichlet1_sample
+from ekstat.errors import DomainError, ParameterError
+from ekstat.kober import identity_record
+from ekstat.transforms import forward, inverse, jacobian, ratio_beta_pairs
 
 
 def random_simplex_points(rng, n, k):
@@ -73,44 +74,46 @@ class TestJacobian:
         assert np.all(jacobian(y) > 0)
 
 
-class TestDerivedBetaParams:
-    def test_simplex_variant_example(self):
-        d = derived_beta_params("thm1_2", (1.0, 2.0), alpha_last=3.0)
-        assert d.pairs == ((2.0, 6.0), (3.0, 3.0))
-        assert d.alt_pairs is None
+class TestRatioBetaPairs:
+    def test_simplex_example(self):
+        # a type-1 Dirichlet reads as partial-sum exponents (0, alpha_last)
+        params = DirichletParams(alphas=(1.0, 2.0), alpha_last=3.0)
+        assert params.betas == (0.0, 3.0)
+        assert ratio_beta_pairs(params.alphas, params.betas) == ((2.0, 6.0), (3.0, 3.0))
 
-    def test_partial_sum_variant_example(self):
-        d = derived_beta_params("thm1_3", (1.0, 2.0), betas=(1.0, 2.0))
-        assert d.pairs == ((2.0, 6.0), (3.0, 2.0))
-        # truncated-sum reading drops the last alpha for j < k
-        assert d.alt_pairs == ((2.0, 4.0), (3.0, 2.0))
-        assert d.alternative_differs
+    def test_partial_sum_example(self):
+        assert ratio_beta_pairs((1.0, 2.0), (1.0, 2.0)) == ((2.0, 6.0), (3.0, 2.0))
 
-    def test_shifted_simplex_variant_records_printed_value(self):
-        d = derived_beta_params("thm2_4", (2.0, 3.0), alpha_last=1.0)
-        assert d.pairs == ((2.0, 4.0), (3.0, 1.0))
-        assert d.alt_pairs == ((2.0, 3.0), (3.0, 0.0))
-        assert d.alternative_differs
+    def test_printed_partial_sum_reading_drops_last_alpha(self):
+        # 1.3 as printed: alphas_k is missing from second_j for j < k
+        laws = identity_record("1.3").beta(GenDirichletParams((1.0, 2.0), (1.0, 2.0)))
+        assert laws.printed == ((2.0, 4.0), (3.0, 2.0))
 
-    def test_shifted_partial_sum_variant_coincides(self):
-        d = derived_beta_params("thm2_5", (2.0, 3.0), betas=(1.0, 2.0))
-        assert d.pairs == ((2.0, 6.0), (3.0, 2.0))
-        assert d.alt_pairs == d.pairs
-        assert not d.alternative_differs
+    def test_printed_simplex_reading_degenerates(self):
+        # 2.4 with catalogued alphas (2, 3) samples exponents (1, 2)
+        params = DirichletParams(alphas=(1.0, 2.0), alpha_last=1.0)
+        assert ratio_beta_pairs(params.alphas, params.betas) == ((2.0, 4.0), (3.0, 1.0))
+        assert identity_record("2.4").beta(params).printed == ((2.0, 3.0), (3.0, 0.0))
 
-    def test_nonpositive_derived_parameter_raises(self):
+    def test_printed_shifted_partial_sum_reading_coincides(self):
+        params = GenDirichletParams(alphas=(1.0, 2.0), betas=(1.0, 2.0))
+        pairs = ratio_beta_pairs(params.alphas, params.betas)
+        assert pairs == ((2.0, 6.0), (3.0, 2.0))
+        assert identity_record("2.5").beta(params).printed == pairs
+
+    def test_nonpositive_parameter_raises(self):
         with pytest.raises(ParameterError):
-            derived_beta_params("thm2_4", (2.0,), alpha_last=-1.0)
+            ratio_beta_pairs((1.0,), (-1.0,))
+        with pytest.raises(ParameterError):
+            ratio_beta_pairs((-1.0,), (1.0,))
+        with pytest.raises(ParameterError):
+            ratio_beta_pairs((float("nan"),), (1.0,))
 
-    def test_unknown_variant(self):
-        with pytest.raises(UsageError):
-            derived_beta_params("thm9_9", (1.0,), alpha_last=1.0)
-
-    def test_missing_arguments(self):
-        with pytest.raises(UsageError):
-            derived_beta_params("thm1_2", (1.0,))
-        with pytest.raises(UsageError):
-            derived_beta_params("thm1_3", (1.0,))
+    def test_mismatched_or_empty_exponents_raise(self):
+        with pytest.raises(ParameterError):
+            ratio_beta_pairs((1.0, 2.0), (1.0,))
+        with pytest.raises(ParameterError):
+            ratio_beta_pairs((), ())
 
 
 class TestIndependenceProperty:
@@ -119,10 +122,9 @@ class TestIndependenceProperty:
     def test_ks_and_correlation(self):
         n = 10**5
         params = DirichletParams(alphas=(0.5, 1.0), alpha_last=2.0)
-        derived = derived_beta_params("thm1_2", params.alphas, params.alpha_last)
         x = dirichlet1_sample(params, n, seed=2024).data
         y = forward(x)
-        for j, (first, second) in enumerate(derived.pairs):
+        for j, (first, second) in enumerate(ratio_beta_pairs(params.alphas, params.betas)):
             res = stats.kstest(y[:, j], stats.beta(first, second).cdf)
             assert res.pvalue > 1e-3, f"coordinate {j} failed KS: {res}"
         corr = abs(np.corrcoef(y[:, 0], y[:, 1])[0, 1])
