@@ -43,7 +43,6 @@ from .kober import (
     gamma_product,
     kober1_eval,
     kober2_eval,
-    log_density_constant,
     operator_image,
     pathway_kober1_eval,
     pathway_kober2_eval,

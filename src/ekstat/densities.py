@@ -1,13 +1,17 @@
 """Parametric density families: type-1 beta, Dirichlet, generalized
 Dirichlet, and the pathway family, with exact seeded samplers.
 
-Every pdf evaluates to exactly 0 outside (and on the boundary of) its
-support, so quadrature and histogram code may touch boundaries freely.
-Normalizing constants are assembled in log space.  Samplers are built from
-inverse-CDF gamma draws on the counter-based uniform streams of
-:mod:`ekstat.streams`: each sample row consumes a fixed number of uniforms,
-which makes worker-partitioned runs reproduce the single-worker draws
-exactly.
+Each family is one scaled-beta law Beta(first, second)/c, written once
+here: the type-1 beta with c = 1, the pathway family with the triple
+:attr:`PathwayDimParams.beta_law`, and the two Dirichlet families as
+independent betas (:func:`ekstat.transforms.ratio_beta_pairs`) in the ratio
+coordinates of the triangular map.  Every pdf evaluates to exactly 0
+outside (and on the boundary of) its support, so quadrature and histogram
+code may touch boundaries freely; normalizing constants are assembled in
+log space.  Samplers are built from inverse-CDF gamma draws on the
+counter-based uniform streams of :mod:`ekstat.streams`: each sample row
+consumes a fixed number of uniforms, which makes worker-partitioned runs
+reproduce the single-worker draws exactly.
 """
 
 from __future__ import annotations
@@ -136,6 +140,12 @@ class PathwayDimParams:
     def support_upper(self) -> float:
         return 1.0 / self.scale_factor
 
+    @property
+    def beta_law(self) -> tuple[float, float, float]:
+        """``(first, second, c)``: the family is Beta(first, second)/c with
+        first = zeta+1, second = eta/(1-q)+1 and c = a(1-q)."""
+        return self.zeta + 1.0, self.tail_exponent + 1.0, self.scale_factor
+
 
 @dataclass(frozen=True)
 class SampleMatrix:
@@ -166,15 +176,25 @@ def _with_support(values: np.ndarray, inside: np.ndarray, scalar: bool):
     return float(out) if scalar else out
 
 
+def _beta_log_norm(first: float, second: float, c: float) -> float:
+    """Log normalizer of Beta(first, second)/c on (0, 1/c)."""
+    return float(first * math.log(c) + gammaln(first + second)
+                 - gammaln(first) - gammaln(second))
+
+
+def _beta_pdf(x, first: float, second: float, c: float = 1.0):
+    """Density of Beta(first, second)/c; 0 outside (0, 1/c)."""
+    x = np.asarray(x, dtype=float)
+    inside = (x > 0.0) & (c * x < 1.0)
+    xs = np.where(inside, x, 0.5 / c)
+    logpdf = (_beta_log_norm(first, second, c) + (first - 1.0) * np.log(xs)
+              + (second - 1.0) * np.log1p(-c * xs))
+    return _with_support(np.exp(logpdf), inside, x.ndim == 0)
+
+
 def beta1_pdf(x, p: BetaParams):
     """Type-1 beta density at ``x`` (scalar or array); 0 outside (0,1)."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    inside = (x > 0.0) & (x < 1.0)
-    xs = np.where(inside, x, 0.5)
-    logc = gammaln(p.first + p.second) - gammaln(p.first) - gammaln(p.second)
-    logpdf = logc + (p.first - 1.0) * np.log(xs) + (p.second - 1.0) * np.log1p(-xs)
-    return _with_support(np.exp(logpdf), inside, scalar)
+    return _beta_pdf(x, p.first, p.second)
 
 
 def dirichlet1_pdf(x, p: DirichletParams):
@@ -185,74 +205,35 @@ def dirichlet1_pdf(x, p: DirichletParams):
     return gen_dirichlet1_pdf(x, p)
 
 
-def gen_dirichlet1_log_norm(p: GenDirichletParams | DirichletParams) -> float:
-    """Log normalizing constant of the generalized Dirichlet density.
-
-    Assembled from the independent-beta factorization under the triangular
-    map; validated numerically by the quadrature normalization tests.
-    """
-    pairs = transforms.ratio_beta_pairs(p.alphas, p.betas)
-    return float(sum(gammaln(f + s) - gammaln(f) - gammaln(s) for f, s in pairs))
-
-
 def gen_dirichlet1_pdf(x, p: GenDirichletParams | DirichletParams):
     """Generalized type-1 Dirichlet density on the nested simplex; 0 outside.
 
+    The ratio coordinates y = :func:`ekstat.transforms.forward` (x) are
+    independent betas (:func:`ekstat.transforms.ratio_beta_pairs`), so the
+    density is their product divided by the Jacobian of the inverse map.
     A :class:`DirichletParams` record reads as its partial-sum exponents.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != p.dim:
         raise ShapeError(f"points must have {p.dim} coordinates, got {x.shape[-1]}")
-    scalar = x.ndim == 1
-    partial = np.cumsum(x, axis=-1)
-    inside = np.all(x > 0.0, axis=-1) & np.all(partial < 1.0, axis=-1)
-    xs = np.where(inside[..., None], x, 0.25 / p.dim)
-    rem = np.where(inside[..., None], 1.0 - np.cumsum(xs, axis=-1), 0.5)
-    a = np.asarray(p.alphas)
-    b = np.asarray(p.betas)
-    bexp = b - np.where(np.arange(p.dim) == p.dim - 1, 1.0, 0.0)
-    logpdf = (
-        gen_dirichlet1_log_norm(p)
-        + np.sum(a * np.log(xs), axis=-1)
-        + np.sum(bexp * np.log(rem), axis=-1)
-    )
-    return _with_support(np.exp(logpdf), inside, scalar)
-
-
-def pathway_log_norm_const(p: PathwayDimParams) -> float:
-    """Log of the pathway normalizing constant.
-
-    Equals ``(zeta+1) log(a(1-q)) + log Gamma(zeta + eta/(1-q) + 2)
-    - log Gamma(zeta+1) - log Gamma(eta/(1-q) + 1)``, fixed against the
-    quadrature normalization oracle.
-    """
-    rho = p.tail_exponent
-    return float(
-        (p.zeta + 1.0) * math.log(p.scale_factor)
-        + gammaln(p.zeta + rho + 2.0)
-        - gammaln(p.zeta + 1.0)
-        - gammaln(rho + 1.0)
-    )
+    inside = np.all(x > 0.0, axis=-1) & np.all(np.cumsum(x, axis=-1) < 1.0, axis=-1)
+    y = transforms.forward(np.where(inside[..., None], x, 0.25 / p.dim))
+    # within an ulp of the outer face, rounding can put a ratio on 1
+    inside &= np.all(y < 1.0, axis=-1)
+    y = np.where(inside[..., None], y, 0.5)
+    pairs = transforms.ratio_beta_pairs(p.alphas, p.betas)
+    betas = np.prod([_beta_pdf(y[..., j], f, s) for j, (f, s) in enumerate(pairs)], axis=0)
+    return _with_support(betas / transforms.jacobian(y), inside, x.ndim == 1)
 
 
 def pathway_norm_const(p: PathwayDimParams) -> float:
     """Pathway normalizing constant (linear scale)."""
-    return math.exp(pathway_log_norm_const(p))
+    return math.exp(_beta_log_norm(*p.beta_law))
 
 
 def pathway_pdf(x, p: PathwayDimParams):
     """Pathway density at ``x``; 0 outside (0, 1/(a(1-q)))."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    c = p.scale_factor
-    inside = (x > 0.0) & (c * x < 1.0)
-    xs = np.where(inside, x, 0.5 / c)
-    logpdf = (
-        pathway_log_norm_const(p)
-        + p.zeta * np.log(xs)
-        + p.tail_exponent * np.log1p(-c * xs)
-    )
-    return _with_support(np.exp(logpdf), inside, scalar)
+    return _beta_pdf(x, *p.beta_law)
 
 
 def pathway_factor(u, v, p: PathwayDimParams):
@@ -316,10 +297,20 @@ def beta_from_uniforms(u: np.ndarray, first: float, second: float) -> np.ndarray
     return beta_product_from_uniforms(u, ((first, second, 1.0),))[:, 0]
 
 
+def _beta_rows(triples, n: int, seed: int, workers: int,
+               triangular: bool = False) -> SampleMatrix:
+    """Rows of independent Beta(first, second)/c draws, one column per
+    ``(first, second, c)`` triple, pushed through the inverse triangular map
+    when ``triangular``; deterministic given ``seed``."""
+    draw = lambda u: beta_product_from_uniforms(u, triples)
+    rows = (lambda u: transforms.inverse(draw(u))) if triangular else draw
+    k = len(triples)
+    return SampleMatrix(map_uniform_rows(rows, seed, n, 2 * k, k, workers), seed)
+
+
 def beta1_sample(p: BetaParams, n: int, seed: int, workers: int = 1) -> SampleMatrix:
     """n independent type-1 beta draws; deterministic given ``seed``."""
-    draw = lambda u: beta_from_uniforms(u, p.first, p.second)[:, None]
-    return SampleMatrix(map_uniform_rows(draw, seed, n, 2, 1, workers), seed)
+    return _beta_rows([(p.first, p.second, 1.0)], n, seed, workers)
 
 
 def dirichlet1_sample(p: DirichletParams, n: int, seed: int, workers: int = 1) -> SampleMatrix:
@@ -331,13 +322,10 @@ def dirichlet1_sample(p: DirichletParams, n: int, seed: int, workers: int = 1) -
 def gen_dirichlet1_sample(p: GenDirichletParams, n: int, seed: int, workers: int = 1) -> SampleMatrix:
     """Generalized Dirichlet rows: independent betas pushed through the
     inverse triangular map."""
-    triples = [(f, s, 1.0) for f, s in transforms.ratio_beta_pairs(p.alphas, p.betas)]
-    draw = lambda u: transforms.inverse(beta_product_from_uniforms(u, triples))
-    return SampleMatrix(map_uniform_rows(draw, seed, n, 2 * p.dim, p.dim, workers), seed)
+    pairs = transforms.ratio_beta_pairs(p.alphas, p.betas)
+    return _beta_rows([(f, s, 1.0) for f, s in pairs], n, seed, workers, triangular=True)
 
 
 def pathway_sample(p: PathwayDimParams, n: int, seed: int, workers: int = 1) -> SampleMatrix:
     """Pathway draws as scaled type-1 betas on (0, 1/(a(1-q)))."""
-    triple = (p.zeta + 1.0, p.tail_exponent + 1.0, p.scale_factor)
-    draw = lambda u: beta_product_from_uniforms(u, (triple,))
-    return SampleMatrix(map_uniform_rows(draw, seed, n, 2, 1, workers), seed)
+    return _beta_rows([p.beta_law], n, seed, workers)

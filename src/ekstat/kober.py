@@ -5,8 +5,8 @@ positive variables:
 
 * second kind, kernel ``(v - u)^(alpha-1) v^(-zeta-alpha)`` over ``v > u``;
 * first kind, kernel ``(u - v)^(alpha-1) v^zeta`` over ``0 < v < u``;
-* their pathway extensions, whose kernels carry the support factor
-  ``a(1-q)`` and the exponent ``eta/(1-q)`` in place of ``alpha - 1``.
+* their pathway extensions, the same two read with ``PathwayDimParams``:
+  support factor ``a(1-q)``, and ``eta/(1-q)`` in place of ``alpha - 1``.
 
 Per dimension, the kernel is absorbed exactly into a Jacobi weight after
 mapping the integration range to (0,1), so weak endpoint singularities never
@@ -51,7 +51,9 @@ from .quadrature import _EXP_SINH_HI, _EXP_SINH_LO, DEFAULT_NODES, jacobi_rule, 
 from .streams import map_uniform_rows
 from .transforms import ratio_beta_pairs
 
-MAX_TENSOR_DIM = 6
+# Most tensor nodes one evaluation may build: (n nodes per dimension)**k.
+# 1 << 22 admits the refined k=3 evaluation at n=64 (128**3 = 2**21).
+_MAX_TENSOR_NODES = 1 << 22
 
 # Regime-switch thresholds, in units of the density's characteristic scale.
 _NEAR_FIELD = 0.25
@@ -272,12 +274,8 @@ class _DimQuad:
 def _zeta_alpha_c(p) -> tuple[float, float, float]:
     """Operator zeta, alpha and support factor of one dimension's parameters."""
     if isinstance(p, PathwayDimParams):
-        return p.zeta, p.tail_exponent + 1.0, p.scale_factor
+        return (p.zeta,) + p.beta_law[1:]
     return p.zeta, p.alpha, getattr(p, "scale_factor", 1.0)
-
-
-def _build_plans(kind: str, params, n: int, f_scale: float) -> list[_DimQuad]:
-    return [_DimQuad(kind, *_zeta_alpha_c(p), n, f_scale) for p in params]
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +325,22 @@ def eval_many(kind: str, params, f: MultiDensity, points,
         raise ShapeError(f"density dimension {f.dim} != parameter count {k}")
     if points.shape[-1] != k:
         raise ShapeError(f"points must have {k} coordinates")
-    if k > MAX_TENSOR_DIM:
-        raise SizeError(f"tensor evaluation supports at most {MAX_TENSOR_DIM} dimensions")
-    plans = _build_plans(kind, params, n, f.scale)
+    if n ** k > _MAX_TENSOR_NODES:
+        raise SizeError(f"a tensor grid of {n} nodes in each of {k} dimensions has "
+                        f"{n ** k} nodes, over the budget of {_MAX_TENSOR_NODES}")
+    plans = [_DimQuad(kind, *_zeta_alpha_c(p), n, f.scale) for p in params]
     out = np.array([_eval_tensor(plans, pt, f, log_shift) for pt in points])
     return out[0] if single else out
 
 
 def _operator_result(kind: str, params, f: MultiDensity, u,
                      n: int, refine: bool) -> OperatorResult:
-    value = float(eval_many(kind, params, f, np.atleast_1d(np.asarray(u, float)), n))
-    err = None
-    if refine:
-        fine = float(eval_many(kind, params, f, np.atleast_1d(np.asarray(u, float)), 2 * n))
-        err = abs(value - fine)
+    u = np.atleast_1d(np.asarray(u, float))
+    # the 2n evaluation goes first, so an over-budget refinement fails
+    # before any grid is built
+    fine = float(eval_many(kind, params, f, u, 2 * n)) if refine else None
+    value = float(eval_many(kind, params, f, u, n))
+    err = None if fine is None else abs(value - fine)
     return OperatorResult(value=value, est_error=err, n_nodes=n)
 
 
@@ -348,39 +348,31 @@ def _operator_result(kind: str, params, f: MultiDensity, u,
 # public operators
 # ---------------------------------------------------------------------------
 
-def kober2_eval(u, params: Sequence[DimParams], f: MultiDensity,
+def kober2_eval(u, params: Sequence[DimParams | PathwayDimParams], f: MultiDensity,
                 n: int = DEFAULT_NODES, refine: bool = True) -> OperatorResult:
-    """Second-kind operator at the point ``u`` (a positive k-vector)."""
-    return _operator_result("second", tuple(params), f, u, n, refine)
+    """Second-kind operator at the point ``u`` (a positive k-vector).
 
-
-def kober1_eval(u, params: Sequence[DimParams], f: MultiDensity,
-                n: int = DEFAULT_NODES, refine: bool = True) -> OperatorResult:
-    """First-kind operator at the point ``u``; requires ``zeta > 0``."""
-    return _operator_result("first", tuple(params), f, u, n, refine)
-
-
-def pathway_kober2_eval(u, params: Sequence[PathwayDimParams], f: MultiDensity,
-                        n: int = DEFAULT_NODES, refine: bool = True) -> OperatorResult:
-    """Pathway second-kind operator.
-
-    The kernel carries the inverse power ``v^-(zeta + eta/(1-q) + 1)``
-    required for the operator to be a constant multiple of the product
-    construction's density; with ``a(1-q) = 1`` and ``eta/(1-q) = alpha - 1``
-    it reduces to :func:`kober2_eval`.
+    With :class:`PathwayDimParams` it is the pathway operator, whose kernel
+    carries the support factor ``a(1-q)`` and the inverse power
+    ``v^-(zeta + eta/(1-q) + 1)`` of the product construction's density.
     """
     return _operator_result("second", tuple(params), f, u, n, refine)
 
 
-def pathway_kober1_eval(u, params: Sequence[PathwayDimParams], f: MultiDensity,
-                        n: int = DEFAULT_NODES, refine: bool = True) -> OperatorResult:
-    """Pathway first-kind operator; requires ``zeta > 0``.
+def kober1_eval(u, params: Sequence[DimParams | PathwayDimParams], f: MultiDensity,
+                n: int = DEFAULT_NODES, refine: bool = True) -> OperatorResult:
+    """First-kind operator at the point ``u``; requires ``zeta > 0``.
 
-    The upper integration limit is ``u/(a(1-q))``, the point where the
-    kernel factor ``u - a(1-q) v`` vanishes; the sign-indefinite alternative
-    ``u/(1 - a(1-q))`` is not used.
+    With :class:`PathwayDimParams` the upper limit is ``u/(a(1-q))``, where
+    the kernel factor ``u - a(1-q) v`` vanishes; the sign-indefinite
+    alternative ``u/(1 - a(1-q))`` is not used.
     """
     return _operator_result("first", tuple(params), f, u, n, refine)
+
+
+# the pathway operators are the classical ones read with PathwayDimParams
+pathway_kober2_eval = kober2_eval
+pathway_kober1_eval = kober1_eval
 
 
 def operator_image(kind: str, params, f: MultiDensity,
@@ -588,14 +580,9 @@ def identity_setup(theorem: str, params):
 # density constants and fused predicted densities
 # ---------------------------------------------------------------------------
 
-def log_density_constant(theorem: str, params) -> float:
-    """Log of the constant linking the operator to the joint density of u."""
-    return identity_setup(theorem, params)[2]
-
-
 def density_constant(theorem: str, params) -> float:
     """Constant c with ``c * g = operator(f)`` for the identity ``theorem``."""
-    return math.exp(log_density_constant(theorem, params))
+    return math.exp(identity_setup(theorem, params)[2])
 
 
 def predicted_density(theorem: str, params, f: MultiDensity, points,

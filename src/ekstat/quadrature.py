@@ -45,14 +45,11 @@ class QuadratureRule:
         Positive weights normalized to sum to 1.
     log_mass : float
         Log of the weight-function mass ``B(edge0+1, edge1+1)``.
-    exponents : tuple of float
-        ``(edge1, edge0)`` of the weight function.
     """
 
     nodes: np.ndarray
     weights_unit: np.ndarray
     log_mass: float
-    exponents: tuple[float, float]
 
     @property
     def weights(self) -> np.ndarray:
@@ -63,9 +60,6 @@ class QuadratureRule:
             raise FloatingPointError(
                 f"weight mass exp(log_mass) underflows: log_mass={self.log_mass}")
         return self.weights_unit * mass
-
-    def __len__(self) -> int:
-        return self.nodes.size
 
 
 @lru_cache(maxsize=512)
@@ -93,7 +87,7 @@ def _jacobi_rule_cached(n: int, edge1: float, edge0: float) -> QuadratureRule:
     w = w / w.sum()
     nodes.setflags(write=False)
     w.setflags(write=False)
-    return QuadratureRule(nodes, w, float(betaln(b + 1.0, a + 1.0)), (a, b))
+    return QuadratureRule(nodes, w, float(betaln(b + 1.0, a + 1.0)))
 
 
 def jacobi_rule(n: int, edge1: float, edge0: float) -> QuadratureRule:

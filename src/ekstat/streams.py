@@ -23,9 +23,10 @@ from .errors import EmptyRequestError, ParameterError
 
 WORKERS_ENV_VAR = "EKSTAT_WORKERS"
 
-# Keep uniforms strictly inside (0,1) so inverse CDFs never hit the endpoints.
+# Generator.random returns multiples of 2**-53 in [0, 1 - 2**-53]; lifting 0
+# to the next one keeps uniforms strictly inside (0,1), so inverse CDFs never
+# hit the endpoints.
 _U_LO = 2.0 ** -53
-_U_HI = 1.0 - 2.0 ** -53
 
 
 def check_workers(workers) -> int:
@@ -118,7 +119,7 @@ def uniform_block(
         bits.advance(int(row_start) * bpr)
     u = np.random.Generator(bits).random(row_count * bpr * 4)
     u = u.reshape(row_count, bpr * 4)[:, :n_cols]
-    return np.clip(u, _U_LO, _U_HI)
+    return np.maximum(u, _U_LO)
 
 
 def map_uniform_rows(fn, seed: int, n_rows: int, n_cols: int, width: int,

@@ -58,10 +58,7 @@ def jacobian(y) -> np.ndarray:
     y = _as_points(y, "y")
     if np.any(y <= 0.0) or np.any(y >= 1.0):
         raise DomainError("all ratio coordinates must lie strictly inside (0,1)")
-    k = y.shape[-1]
-    if k == 1:
-        return np.ones(y.shape[:-1]) if y.ndim > 1 else 1.0
-    powers = np.arange(k - 1, 0, -1, dtype=float)
+    powers = np.arange(y.shape[-1] - 1, 0, -1, dtype=float)
     out = np.prod((1.0 - y[..., :-1]) ** powers, axis=-1)
     return out if y.ndim > 1 else float(out)
 

@@ -60,7 +60,7 @@ class TestEval:
             "--point", ",".join(["1.0"] * k),
         ])
         assert code == cli.EXIT_USAGE
-        assert "6" in capsys.readouterr().err
+        assert "over the budget" in capsys.readouterr().err
 
     def test_other_family_parameters_are_usage_error(self, capsys):
         code = run_cli([

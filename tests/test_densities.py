@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import betaln
 
 from ekstat.densities import (
     BetaParams,
@@ -22,7 +23,7 @@ from ekstat.densities import (
     pathway_sample,
 )
 from ekstat.errors import EmptyRequestError, ParameterError
-from ekstat.transforms import ratio_beta_pairs
+from ekstat.transforms import forward, ratio_beta_pairs
 
 LEGGAUSS_N = 400
 
@@ -286,6 +287,82 @@ class TestPathway:
             PathwayDimParams(1.0, 1.0, 1.0, 0.0)
         with pytest.raises(ParameterError):
             PathwayDimParams(1.0, 1.5, 1.0, 0.0)
+
+
+class TestScaledBetaReferences:
+    """The beta, pathway and Dirichlet pdfs against scipy's laws, and the
+    generalized Dirichlet against its x-space formula."""
+
+    @pytest.mark.parametrize("first,second", [(2.0, 3.0), (0.4, 0.7), (7.5, 1.3)])
+    def test_beta1_pdf_matches_scipy(self, first, second):
+        x = np.linspace(0.001, 0.999, 211)
+        want = stats.beta(first, second).pdf(x)
+        assert beta1_pdf(x, BetaParams(first, second)) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("a,q,eta,zeta", [(2.0, 0.5, 3.0, 1.5), (1.0, -0.5, 0.3, -0.4),
+                                              (0.7, 0.9, 2.0, 0.0)])
+    def test_pathway_pdf_is_scaled_scipy_beta(self, a, q, eta, zeta):
+        p = PathwayDimParams(a, q, eta, zeta)
+        c = a * (1.0 - q)
+        law = stats.beta(zeta + 1.0, eta / (1.0 - q) + 1.0)
+        x = np.linspace(0.001, 0.999, 211) / c
+        assert pathway_pdf(x, p) == pytest.approx(c * law.pdf(c * x), rel=1e-12)
+        want = c ** (zeta + 1.0) / math.exp(betaln(zeta + 1.0, eta / (1.0 - q) + 1.0))
+        assert pathway_norm_const(p) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("alphas,alpha_last", [((0.5, 1.0), 2.0), ((-0.3, 0.2, 1.5), 0.8)])
+    def test_dirichlet1_pdf_matches_scipy(self, alphas, alpha_last):
+        p = DirichletParams(alphas=alphas, alpha_last=alpha_last)
+        rng = np.random.default_rng(11)
+        full = rng.dirichlet(np.ones(len(alphas) + 1), size=300)
+        law = stats.dirichlet(np.append(np.array(alphas) + 1.0, alpha_last))
+        want = np.array([law.pdf(row) for row in full])
+        assert dirichlet1_pdf(full[:, :-1], p) == pytest.approx(want, rel=1e-12)
+
+    @staticmethod
+    def x_space_pdf(x, p):
+        """prod x_j^alphas_j (1 - x_1 - ... - x_j)^(betas_j - [j == k]),
+        normalized by the ratio-coordinate beta functions."""
+        a, b = np.asarray(p.alphas), np.asarray(p.betas)
+        rem = 1.0 - np.cumsum(x, axis=-1)
+        bexp = b - (np.arange(p.dim) == p.dim - 1)
+        log_norm = sum(-betaln(f, s) for f, s in ratio_beta_pairs(p.alphas, p.betas))
+        return np.exp(log_norm + np.sum(a * np.log(x), axis=-1)
+                      + np.sum(bexp * np.log(rem), axis=-1))
+
+    def test_gen_dirichlet1_pdf_matches_x_space_formula(self):
+        p = GenDirichletParams(alphas=(0.5, -0.4, 1.0), betas=(1.0, 2.0, 1.5))
+        rng = np.random.default_rng(12)
+        interior = rng.dirichlet(np.ones(4), size=2000)
+        # the same kind of points with one coordinate, or the remainder
+        # 1 - x_1 - x_2 - x_3, moved to 1e-5 .. 1e-2 from its face; both
+        # formulas round the remainder to about 1e-16/gap relative
+        near = rng.dirichlet(np.ones(4), size=2000)
+        rows, face = np.arange(2000), rng.integers(0, 4, size=2000)
+        gap = 10.0 ** rng.uniform(-5.0, -2.0, size=2000)
+        near[rows, face] = 0.0
+        near *= ((1.0 - gap) / near.sum(axis=1))[:, None]
+        near[rows, face] = gap
+        x = np.concatenate([interior, near])[:, :3]
+        assert gen_dirichlet1_pdf(x, p) == pytest.approx(self.x_space_pdf(x, p), rel=1e-10)
+
+    def test_gen_dirichlet1_pdf_zero_set(self):
+        p = GenDirichletParams(alphas=(0.5, 1.0), betas=(1.0, 2.0))
+        x = np.array([[0.0, 0.3], [0.3, -0.1], [0.6, 0.4], [0.7, 0.5], [0.2, 0.3]])
+        got = gen_dirichlet1_pdf(x, p)
+        assert np.array_equal(got[:4], np.zeros(4)) and got[4] > 0.0
+
+    def test_gen_dirichlet1_pdf_within_an_ulp_of_the_outer_face(self):
+        # x_3 is the largest float with x_1 + x_2 + x_3 < 1; the triangular
+        # map can round such a ratio coordinate onto 1 or past it
+        p = GenDirichletParams(alphas=(0.5, 1.0, 0.5), betas=(1.0, 2.0, 1.5))
+        x = np.random.default_rng(13).dirichlet(np.ones(4), size=1000)[:, :3]
+        x[:, 2] = 1.0 - (x[:, 0] + x[:, 1])
+        while np.any(over := np.cumsum(x, axis=1)[:, 2] >= 1.0):
+            x[over, 2] = np.nextafter(x[over, 2], 0.0)
+        assert np.any(forward(x)[:, 2] >= 1.0)
+        got = gen_dirichlet1_pdf(x, p)
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
 
 
 class TestPathwayLimitFactor:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_genlaguerre
 
+from ekstat import kober
 from ekstat.densities import PathwayDimParams
 from ekstat.errors import (
     DomainError,
@@ -238,11 +239,26 @@ class TestEvaluationPlumbing:
         with pytest.raises(DomainError):
             kober2_eval(np.array([-1.0]), [DimParams(0.5, 1.0)], f)
 
-    def test_dimension_cap(self):
-        k = 7
-        f = gamma_product((2.0,) * k)
-        with pytest.raises(SizeError):
-            kober2_eval(np.ones(k), [DimParams(0.5, 1.0)] * k, f, n=2)
+    def test_dimension_cap(self, monkeypatch):
+        # the default budget admits refined k=3 at n=64 and refuses k=4
+        assert 128**3 <= kober._MAX_TENSOR_NODES < 64**4
+        # a small budget, so that a missing check cannot allocate much
+        monkeypatch.setattr(kober, "_MAX_TENSOR_NODES", 8**4)
+        calls = []
+
+        def pdf(pts):
+            calls.append(pts.shape)
+            return np.ones(pts.shape[:-1])
+        f = MultiDensity(dim=4, pdf=pdf)
+        params, u = [DimParams(0.5, 1.0)] * 4, np.ones(4)
+        with pytest.raises(SizeError, match="budget of 4096"):
+            eval_many("second", params, f, u, n=9)
+        # the refinement at 2n is refused before the n-node grid is built
+        with pytest.raises(SizeError, match="16 nodes in each of 4"):
+            kober2_eval(u, params, f, n=8)
+        assert calls == []
+        assert kober2_eval(u, params, f, n=8, refine=False).value > 0.0
+        assert calls == [(8, 8, 8, 8, 4)]
 
     def test_nonfinite_density_rejected(self):
         bad = MultiDensity(dim=1, pdf=lambda p: np.full(p.shape[:-1], np.nan))

@@ -50,6 +50,11 @@ class TestMellinNumeric:
         res = mellin_numeric(exponential_product(1), -0.2)
         assert res.converged is False
 
+    def test_overflow_raises(self):
+        # 200! is about 7.9e374, past the float range
+        with pytest.raises(FloatingPointError):
+            mellin_numeric(gamma_product((2.0,)), 200.0)
+
     def test_refinement_bound_on_smooth_case(self):
         res = mellin_numeric(gamma_product((3.0,)), 1.7)
         exact = math.gamma(3.0 + 1.7 - 1.0) / math.gamma(3.0)
