@@ -14,8 +14,6 @@ from ekstat import (
     gamma_product,
     kober1_eval,
     kober2_eval,
-    pathway_kober1_eval,
-    pathway_kober2_eval,
 )
 
 f = gamma_product((2.0,))
@@ -29,11 +27,11 @@ res = kober1_eval(u, [DimParams(zeta=1.0, alpha=1.0)], f)
 print(f"first kind    (zeta=1.0, alpha=1.0): {res.value:.10f}  (est err {res.est_error:.1e})")
 
 pw = PathwayDimParams(a=1.0, q=0.5, eta=1.0, zeta=0.5)
-res = pathway_kober2_eval(u, [pw], f)
+res = kober2_eval(u, [pw], f)
 print(f"pathway 2nd   (a=1, q=0.5, eta=1):   {res.value:.10f}  (est err {res.est_error:.1e})")
 
 pw1 = PathwayDimParams(a=1.0, q=0.5, eta=1.0, zeta=1.5)
-res = pathway_kober1_eval(u, [pw1], f)
+res = kober1_eval(u, [pw1], f)
 print(f"pathway 1st   (a=1, q=0.5, eta=1):   {res.value:.10f}  (est err {res.est_error:.1e})")
 
 print("\n== the order parameter alpha -> 0 recovers the identity ==")

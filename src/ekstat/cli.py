@@ -37,8 +37,6 @@ from .kober import (
     identity_record,
     kober1_eval,
     kober2_eval,
-    pathway_kober1_eval,
-    pathway_kober2_eval,
 )
 from .reporting import dumps_csv, dumps_json, timestamp
 from .streams import check_workers, default_workers
@@ -51,8 +49,8 @@ EXIT_NUMERIC = 3
 _EVAL_FNS = {
     "second": kober2_eval,
     "first": kober1_eval,
-    "pathway-second": pathway_kober2_eval,
-    "pathway-first": pathway_kober1_eval,
+    "pathway-second": kober2_eval,
+    "pathway-first": kober1_eval,
 }
 
 

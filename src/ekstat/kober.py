@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -54,6 +56,8 @@ from .transforms import ratio_beta_pairs
 # Most tensor nodes one evaluation may build: (n nodes per dimension)**k.
 # 1 << 22 admits the refined k=3 evaluation at n=64 (128**3 = 2**21).
 _MAX_TENSOR_NODES = 1 << 22
+# Largest log prefactor whose exponential is a float.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 # Regime-switch thresholds, in units of the density's characteristic scale.
 _NEAR_FIELD = 0.25
@@ -157,38 +161,38 @@ class _DimQuad:
         if kind == "first" and not zeta > 0.0:
             raise ParameterError("the first kind requires zeta > 0")
         self.kind = kind
-        self.zeta = float(zeta)
+        self.zeta = z = float(zeta)
         self.alpha = float(alpha)
         self.c = float(c)
         self.n = int(n)
         self.f_scale = float(f_scale)
-        self.log_c = math.log(self.c)
         # pathway prefactors: c^-zeta (second) or c^-(zeta+1) (first)
-        self.extra_log = -self.zeta * self.log_c if kind == "second" \
-            else -(self.zeta + 1.0) * self.log_c
+        self.extra_log = -(z if kind == "second" else z + 1.0) * math.log(self.c)
 
-    # -- plain rules -------------------------------------------------------
+    @cached_property
+    def _plain(self):
+        """Nodes t and log weights of the plain rule, with -lnGamma(alpha) and
+        the pathway prefactor folded in.  The weight is (1-t)^(alpha-1) t^edge0;
+        the second kind's edge0 = zeta-1 is inadmissible for zeta <= 0, so there
+        edge0 = zeta and one power 1/t stays in the weights (nodes are interior)."""
+        z, second = self.zeta, self.kind == "second"
+        keep_t = second and not z > 0.0
+        rule = jacobi_rule(self.n, self.alpha - 1.0, z - 1.0 if second and z > 0.0 else z)
+        logw = np.log(rule.weights_unit) - np.log(rule.nodes) if keep_t else np.log(rule.weights_unit)
+        logw = logw + rule.log_mass - gammaln(self.alpha) + self.extra_log
+        logw.setflags(write=False)
+        return rule.nodes, logw
 
-    def _plain_second(self, u_eff: float):
-        z, a = self.zeta, self.alpha
-        if z > 0.0:
-            rule = jacobi_rule(self.n, a - 1.0, z - 1.0)
-            logw = np.log(rule.weights_unit) + rule.log_mass - gammaln(a)
-        else:
-            # weight exponent z-1 <= -1 is inadmissible; shift one power of
-            # the node into the integrand (nodes are interior, so finite)
-            rule = jacobi_rule(self.n, a - 1.0, z)
-            logw = (np.log(rule.weights_unit) - np.log(rule.nodes)
-                    + rule.log_mass - gammaln(a))
-        return u_eff / rule.nodes, logw
-
-    def _plain_first(self, u_eff: float):
-        z, a = self.zeta, self.alpha
-        rule = jacobi_rule(self.n, a - 1.0, z)
-        logw = np.log(rule.weights_unit) + rule.log_mass - gammaln(a)
-        return u_eff * rule.nodes, logw
-
-    # -- composite splits ---------------------------------------------------
+    @cached_property
+    def _split_rules(self):
+        """The split's point-independent rules: the kernel-edge Jacobi rule
+        with its log weights, and for the first kind the semi-axis tail."""
+        n_edge = self.n // 2 if self.kind == "second" else min(max(4, self.n // 4), self.n - 4)
+        edge = jacobi_rule(n_edge, 0.0, self.alpha - 1.0)
+        # node variable is c*v, so the density's scale appears multiplied by c
+        tail = None if self.kind == "second" else semiaxis_log_rule(
+            self.n - n_edge, "exp", math.log(self.c * self.f_scale))
+        return edge, np.log(edge.weights_unit), tail
 
     def _near_second(self, u_eff: float):
         """Second kind for u far below the density scale.
@@ -198,16 +202,14 @@ class _DimQuad:
         damped approach to 2u.
         """
         z, a = self.zeta, self.alpha
-        n_edge = self.n // 2
-        n_tail = self.n - n_edge
-        edge = jacobi_rule(n_edge, 0.0, a - 1.0)
+        edge, edge_logw, _ = self._split_rules
         lu = math.log(u_eff)
         v_edge = u_eff * (1.0 + edge.nodes)
-        logw_edge = (np.log(edge.weights_unit) + edge.log_mass - gammaln(a)
+        logw_edge = (edge_logw + edge.log_mass - gammaln(a)
                      + (z + a) * lu - (z + a) * np.log(v_edge))
         # tail nodes: v = 2u (1 + e^(w - e^-w)), scaled to the density
         w_hi = max(_EXP_SINH_HI, math.log(350.0 * self.f_scale / u_eff))
-        w = np.linspace(_EXP_SINH_LO, w_hi, n_tail)
+        w = np.linspace(_EXP_SINH_LO, w_hi, self.n - len(edge.nodes))
         h = w[1] - w[0]
         e = np.exp(w - np.exp(-w))
         v_tail = 2.0 * u_eff * (1.0 + e)
@@ -216,7 +218,7 @@ class _DimQuad:
                      + (a - 1.0) * np.log(v_tail - u_eff)
                      - (z + a) * np.log(v_tail))
         return (np.concatenate([v_edge, v_tail]),
-                np.concatenate([logw_edge, logw_tail]))
+                np.concatenate([logw_edge, logw_tail]) + self.extra_log)
 
     def _far_first(self, u_eff: float):
         """First kind for u far above the density scale.
@@ -226,49 +228,40 @@ class _DimQuad:
         power exact (the density is exponentially small there).
         """
         z, a = self.zeta, self.alpha
-        n_edge = min(max(4, self.n // 4), self.n - 4)
-        n_tail = self.n - n_edge
+        edge, edge_logw, (log_x, log_w) = self._split_rules
         lu = math.log(u_eff)
         base = -(z + a) * lu - gammaln(a)
-        # node variable is c*v, so the density's scale appears multiplied by c
-        log_x, log_w = semiaxis_log_rule(n_tail, "exp", math.log(self.c * self.f_scale))
         keep = log_x < lu - math.log(2.0)
         lv = log_x[keep]
         v_tail = np.exp(lv)
         logw_tail = (base + (z + 1.0) * lv
                      + (a - 1.0) * (lu + np.log1p(-v_tail / u_eff))
                      + log_w[keep])
-        edge = jacobi_rule(n_edge, 0.0, a - 1.0)
         v_edge = u_eff * (1.0 - 0.5 * edge.nodes)
-        logw_edge = (base + np.log(edge.weights_unit) + edge.log_mass
+        logw_edge = (base + edge_logw + edge.log_mass
                      + z * np.log(v_edge) + a * (lu - math.log(2.0)))
-        return (np.concatenate([v_tail, v_edge]),
-                np.concatenate([logw_tail, logw_edge]))
+        return (np.concatenate([v_tail, v_edge]) / self.c,
+                np.concatenate([logw_tail, logw_edge]) + self.extra_log)
 
-    # -- dispatch ------------------------------------------------------------
+    # -- dispatch: each rule is fetched once, when a point first needs it --
 
     def nodes_logw(self, u: float) -> tuple[np.ndarray, np.ndarray]:
-        if not u > 0.0:
-            raise DomainError("operator evaluation points must be positive")
+        if not 0.0 < u < math.inf:
+            raise DomainError(f"operator evaluation points must be finite and positive, got {u}")
         # normalized weights may underflow to exact zeros at extreme
         # exponents; their log is -inf and drops out of the final sums
         # composite splits need room for both parts; below that the plain
         # rule is the only option (degraded far outside the density scale)
         splittable = self.n >= 8
+        second = self.kind == "second"
         with np.errstate(divide="ignore"):
-            if self.kind == "second":
-                u_eff = self.c * u
-                if splittable and u_eff < _NEAR_FIELD * self.f_scale:
-                    v, logw = self._near_second(u_eff)
-                else:
-                    v, logw = self._plain_second(u_eff)
-                return v, logw + self.extra_log
-            u_eff = u  # first kind: nodes live on (0, u); pathway rescales f args
-            if splittable and u_eff > _FAR_FIELD * self.c * self.f_scale:
-                v, logw = self._far_first(u_eff)
-            else:
-                v, logw = self._plain_first(u_eff)
-            return v / self.c, logw + self.extra_log
+            if second and splittable and self.c * u < _NEAR_FIELD * self.f_scale:
+                return self._near_second(self.c * u)
+            if not second and splittable and u > _FAR_FIELD * self.c * self.f_scale:
+                return self._far_first(u)
+            # plain: v = c*u/t (second kind) or u*t/c (first; nodes on (0, u/c))
+            t, logw = self._plain
+            return (self.c * u / t if second else u * t / self.c), logw
 
 
 def _zeta_alpha_c(p) -> tuple[float, float, float]:
@@ -305,7 +298,10 @@ def _eval_tensor(plans: Sequence[_DimQuad], point: np.ndarray,
     for w in reversed(weights):
         acc = np.tensordot(acc, w, axes=([-1], [0]))
     log_scale = math.fsum(scales) - log_shift
-    return float(acc) * math.exp(min(log_scale, 700.0))
+    value = float(acc) * math.exp(log_scale) if log_scale < _LOG_FLOAT_MAX else math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"operator value overflows the float range (log prefactor {log_scale:.6g})")
+    return value
 
 
 def eval_many(kind: str, params, f: MultiDensity, points,
@@ -370,7 +366,9 @@ def kober1_eval(u, params: Sequence[DimParams | PathwayDimParams], f: MultiDensi
     return _operator_result("first", tuple(params), f, u, n, refine)
 
 
-# the pathway operators are the classical ones read with PathwayDimParams
+# the pathway operators are the classical ones read with PathwayDimParams;
+# the aliases stay because benchmarks/warm.py and benchmarks/tracing.py look
+# them up by name
 pathway_kober2_eval = kober2_eval
 pathway_kober1_eval = kober1_eval
 

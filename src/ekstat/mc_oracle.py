@@ -398,8 +398,8 @@ def verify(
     """
     if spec.k > MAX_VERIFY_DIM:
         raise SizeError(f"verification supports at most {MAX_VERIFY_DIM} dimensions")
-    if not constant_scale > 0.0:
-        raise ParameterError("constant_scale must be positive")
+    if not 0.0 < constant_scale < math.inf:
+        raise ParameterError(f"constant_scale must be finite and positive, got {constant_scale}")
     if samples is None:
         samples = simulate(spec, n_samples, seed, workers)
     else:
@@ -407,8 +407,8 @@ def verify(
         seed = samples.seed
     grid, bandwidths = default_probes(samples)
     probes = grid if probes is None else np.atleast_2d(np.asarray(probes, dtype=float))
-    if np.any(probes <= 0.0):
-        raise ParameterError("probes must lie in the interior of the positive orthant")
+    if not np.all((probes > 0.0) & (probes < np.inf)):
+        raise ParameterError("probes must be finite and lie in the interior of the positive orthant")
 
     empirical, se, low = histogram_estimate(samples, probes, bandwidths)
     scored = {}

@@ -208,6 +208,8 @@ def mellin_factorization_check(
     points), so the two sides are computed along genuinely different routes.
     """
     params = tuple(params)
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"tol must be finite and positive, got {tol}")
     if f.mellin is None:
         raise UsageError("the factorization check needs a density with a closed-form Mellin transform")
     if f.dim != len(params):

@@ -70,8 +70,33 @@ class TestEval:
         assert code == cli.EXIT_USAGE
         assert "--zeta --alpha" in capsys.readouterr().err
 
+    def test_point_at_infinity_is_usage_error(self, capsys):
+        code = run_cli([
+            "eval", "--kind", "second", "--k", "1", "--zeta", "0.5", "--alpha", "1.5",
+            "--point", "inf",
+        ])
+        assert code == cli.EXIT_USAGE
+        assert "finite and positive" in capsys.readouterr().err
+
+    def test_overflowing_prefactor_exits_three(self, capsys):
+        code = run_cli([
+            "eval", "--kind", "second", "--k", "2", "--zeta=-0.9,-0.9",
+            "--alpha", "0.1,0.1", "--density", "gamma:2,2", "--point", "1e-300,1e-300",
+        ])
+        assert code == cli.EXIT_NUMERIC
+        assert "log prefactor" in capsys.readouterr().err
+
 
 class TestMellinCheck:
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "0"])
+    def test_tolerance_must_be_finite_and_positive(self, tol, capsys):
+        code = run_cli([
+            "mellin-check", "--kind", "second", "--k", "1", "--zeta", "0.5",
+            "--alpha", "0.7", "--tol", tol,
+        ])
+        assert code == cli.EXIT_USAGE
+        assert "tol must be finite and positive" in capsys.readouterr().err
+
     def test_pass_and_report(self, tmp_path):
         out = tmp_path / "mc.json"
         code = run_cli([
@@ -141,6 +166,19 @@ class TestVerify:
         second = out.read_text()
         assert first != ""
         assert strip_timestamp(first) == strip_timestamp(second)
+
+    def test_probe_at_infinity_is_usage_error(self, capsys):
+        code = run_cli(["verify", "--theorem", "1.1", "--k", "1", "--samples", "20000",
+                        "--probe", "inf"])
+        assert code == cli.EXIT_USAGE
+        assert "probes must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0"])
+    def test_constant_scale_must_be_finite_and_positive(self, scale, capsys):
+        code = run_cli(["verify", "--theorem", "1.1", "--k", "1", "--samples", "20000",
+                        "--constant-scale", scale])
+        assert code == cli.EXIT_USAGE
+        assert "constant_scale must be finite and positive" in capsys.readouterr().err
 
     def test_unknown_theorem_is_usage_error(self):
         assert run_cli(["verify", "--theorem", "9.9", "--k", "1"]) == cli.EXIT_USAGE

@@ -239,6 +239,42 @@ class TestEvaluationPlumbing:
         with pytest.raises(DomainError):
             kober2_eval(np.array([-1.0]), [DimParams(0.5, 1.0)], f)
 
+    @pytest.mark.parametrize("u", [np.inf, np.nan])
+    def test_points_must_be_finite(self, u):
+        f = exponential_product(1)
+        with pytest.raises(DomainError, match="finite and positive"):
+            kober2_eval(np.array([u]), [DimParams(0.5, 1.5)], f)
+        with pytest.raises(DomainError, match="finite and positive"):
+            kober1_eval(np.array([u]), [DimParams(1.5, 1.0)], f)
+
+    def test_prefactor_overflow_raises(self):
+        # the summed log prefactor is about 1256.9 here, far past the float
+        # range; the value must not come back capped
+        with pytest.raises(OverflowError, match=r"log prefactor 1256\.9"):
+            kober2_eval(np.array([1e-300, 1e-300]), [DimParams(-0.9, 0.1)] * 2,
+                        gamma_product((2.0, 2.0)), refine=False)
+
+    @pytest.mark.parametrize("kind, zeta, points, rule_calls", [
+        ("second", 0.5, [1.0, 3.0, 2.0], 1),
+        ("second", -0.5, [0.01, 1.0, 0.02, 0.05], 2),
+        ("second", 0.5, [0.01, 0.02], 1),
+        ("first", 1.5, [1.0, 2.0], 1),
+        ("first", 1.5, [300.0, 1.0, 1e4], 3),
+        ("first", 1.5, [300.0, 1e4], 2),
+    ])
+    def test_rules_are_built_once_per_plan(self, monkeypatch, kind, zeta, points, rule_calls):
+        # each rule once per plan, and only once a point enters its regime:
+        # plain, split edge, and (first kind) split tail
+        calls = []
+        for name in ("jacobi_rule", "semiaxis_log_rule"):
+            def counted(*args, _rule=getattr(kober, name), **kw):
+                calls.append(args)
+                return _rule(*args, **kw)
+            monkeypatch.setattr(kober, name, counted)
+        pts = np.array(points)[:, None]
+        eval_many(kind, [DimParams(zeta, 1.5)], gamma_product((2.0,)), pts)
+        assert len(calls) == rule_calls
+
     def test_dimension_cap(self, monkeypatch):
         # the default budget admits refined k=3 at n=64 and refuses k=4
         assert 128**3 <= kober._MAX_TENSOR_NODES < 64**4
@@ -274,3 +310,67 @@ class TestEvaluationPlumbing:
         f = gamma_product((2.0, 3.0))
         with pytest.raises(Exception):
             kober2_eval(np.array([1.0]), [DimParams(0.5, 1.0)], f)
+
+
+class TestPlainRegimeReference:
+    """Plain-regime values against the operators' defining integrals, with
+    f = Gamma(shape, 1), computed by mpmath at 30 digits."""
+
+    ALPHAS = (0.4, 1.0, 2.5)
+    SHAPES = (2.0, 3.0)
+    POINTS = (0.5, 2.0, 8.0)
+
+    @staticmethod
+    def reference(kind, zeta, alpha, c, shape, u):
+        """Second kind: u^zeta/Gamma(alpha) int_{cu}^inf (v-cu)^(alpha-1)
+        v^(-zeta-alpha) f(v) dv.  First kind: u^(-zeta-alpha)/Gamma(alpha)
+        int_0^(u/c) (u-cv)^(alpha-1) v^zeta f(v) dv.  c = 1 is classical,
+        c = a(1-q) the pathway support factor."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            z, a, c, s, u = (mpmath.mpf(x) for x in (zeta, alpha, c, shape, u))
+
+            def f(v):
+                return v ** (s - 1) * mpmath.exp(-v) / mpmath.gamma(s)
+            # integrated over the kernel's distance x from its edge, so the
+            # edge singularity x^(alpha-1) sits at the endpoint x = 0
+            if kind == "second":  # v = cu + x
+                val = u**z * mpmath.quad(
+                    lambda x: x ** (a - 1) * (c * u + x) ** (-z - a) * f(c * u + x),
+                    [0, 1, mpmath.inf])
+            else:  # v = (u - x)/c
+                val = u ** (-z - a) / c * mpmath.quad(
+                    lambda x: x ** (a - 1) * ((u - x) / c) ** z * f((u - x) / c), [0, u])
+            return float(val / mpmath.gamma(a))
+
+    def max_rel_err(self, kind, cases):
+        """Largest relative error over (params, (zeta, alpha, c)) cases,
+        shapes and points."""
+        op = kober2_eval if kind == "second" else kober1_eval
+        worst = 0.0
+        for p, (zeta, alpha, c) in cases:
+            for shape in self.SHAPES:
+                f = gamma_product((shape,))
+                for u in self.POINTS:
+                    got = op(np.array([u]), [p], f, refine=False).value
+                    want = self.reference(kind, zeta, alpha, c, shape, u)
+                    worst = max(worst, abs(got - want) / want)
+        return worst
+
+    # both plain-rule exponents: t^(zeta-1) for zeta > 0, t^zeta and 1/t otherwise
+    @pytest.mark.parametrize("zeta", [-0.6, -1e-9, 0.0, 1e-9, 0.5, 2.0])
+    def test_second_kind(self, zeta):
+        cases = [(DimParams(zeta, a), (zeta, a, 1.0)) for a in self.ALPHAS]
+        assert self.max_rel_err("second", cases) <= 1e-8
+
+    @pytest.mark.parametrize("zeta", [0.3, 1.5])
+    def test_first_kind(self, zeta):
+        cases = [(DimParams(zeta, a), (zeta, a, 1.0)) for a in self.ALPHAS]
+        assert self.max_rel_err("first", cases) <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["second", "first"])
+    def test_pathway(self, kind):
+        # alpha = eta/(1-q) + 1 and c = a(1-q)
+        cases = [(PathwayDimParams(1.5, 0.25, 2.0, 0.5), (0.5, 2.0 / 0.75 + 1.0, 1.5 * 0.75)),
+                 (PathwayDimParams(1.0, 0.5, 1.0, 1.5), (1.5, 3.0, 0.5))]
+        assert self.max_rel_err(kind, cases) <= 1e-8
