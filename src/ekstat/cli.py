@@ -13,6 +13,7 @@ Exit codes: 0 success (and verification passed), 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -325,9 +326,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def resolve_config(args: argparse.Namespace) -> tuple[dict, set]:
+def _read_config_value(action: argparse.Action, key: str, value):
+    """A config file value read as its flag would read it: through the
+    flag's type, then checked against the flag's choices."""
+    if action.type is not None:
+        try:
+            value = action.type(str(value))
+        except (TypeError, ValueError):
+            raise UsageError(f"config key {key!r}: cannot read {value!r} as "
+                             f"{getattr(action.type, '__name__', action.type)}") from None
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+    return value
+
+
+def resolve_config(args: argparse.Namespace,
+                   parser: argparse.ArgumentParser) -> tuple[dict, set]:
     """defaults < config file < explicit flags; also returns the keys the
-    user set, by flag or in the config file."""
+    user set, by flag or in the config file.  A config value of a flag of
+    the command goes through that flag's type and choices."""
     import json
 
     cfg = dict(_DEFAULTS)
@@ -342,6 +359,11 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, set]:
                 raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        actions = {a.dest: a for a in commands[args.command]._actions}
+        file_cfg = {key: value if key not in actions or value is None
+                    else _read_config_value(actions[key], key, value)
+                    for key, value in file_cfg.items()}
         cfg.update(file_cfg)
         given.update(file_cfg)
     cfg.update(flags)
@@ -357,15 +379,34 @@ _COMMANDS = {
 }
 
 
+# argparse reads a value such as "-0.5,0.5" as a flag, since only a single
+# negative number passes its test; no flag here starts with "-" and a
+# digit, so such a token after a flag is that flag's value
+_FLAG = re.compile(r"--[a-z][a-z-]*")
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _join_negative_values(argv) -> list[str]:
+    """``argv`` with each value that starts with a negative number joined
+    to its flag as ``--flag=value``."""
+    out = []
+    for tok in argv:
+        if out and _FLAG.fullmatch(out[-1]) and _NEGATIVE_VALUE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv=None) -> int:
     """Entry point returning the process exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg, given = resolve_config(args)
+        cfg, given = resolve_config(args, parser)
         if cfg.get("command") == "mellin-check" and not cfg.get("density"):
             cfg["density"] = "gamma:" + ",".join(["2"] + [str(2 + j) for j in range(1, cfg["k"])])
         return _COMMANDS[args.command](cfg, given)

@@ -53,9 +53,14 @@ from .quadrature import _EXP_SINH_HI, _EXP_SINH_LO, DEFAULT_NODES, jacobi_rule, 
 from .streams import map_uniform_rows
 from .transforms import ratio_beta_pairs
 
-# Most tensor nodes one evaluation may build: (n nodes per dimension)**k.
-# 1 << 22 admits the refined k=3 evaluation at n=64 (128**3 = 2**21).
+# Most tensor nodes one dense evaluation may build: (n nodes per dimension)**k.
+# 1 << 22 admits the refined k=3 evaluation at n=64 (128**3 = 2**21).  A
+# density with factors is summed one dimension at a time and builds no grid.
 _MAX_TENSOR_NODES = 1 << 22
+# Fewest nodes per dimension: the near- and far-field splits need room for
+# both of their parts, and without them the error estimate far from the
+# density's scale understates the error by orders of magnitude.
+_MIN_NODES = 8
 # Largest log prefactor whose exponential is a float.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -109,6 +114,11 @@ class MultiDensity:
     ``tail`` ("exp" or "algebraic") describes the decay at infinity and
     selects semi-axis node layouts; ``scale`` is the characteristic scale of
     the density, used by the operator regime switches.
+
+    ``factors``, when set, holds ``dim`` one-dimensional pdfs whose product
+    is ``pdf``: factor j takes an array of coordinate-j values and returns
+    one value per entry.  The operators then evaluate as a product of
+    one-dimensional sums instead of a sum over the ``n^dim`` tensor grid.
     """
 
     dim: int
@@ -119,6 +129,12 @@ class MultiDensity:
     tail: str = "exp"
     scale: float = 1.0
     name: str = ""
+    factors: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
+
+    def __post_init__(self):
+        if self.factors is not None and len(self.factors) != self.dim:
+            raise ShapeError(f"a density of dimension {self.dim} needs {self.dim} "
+                             f"factors, got {len(self.factors)}")
 
     def sample(self, n: int, seed: int, workers: int = 1) -> SampleMatrix:
         """Exact draws from the density; deterministic given ``seed``."""
@@ -160,6 +176,9 @@ class _DimQuad:
             raise UsageError(f"unknown operator kind {kind!r}")
         if kind == "first" and not zeta > 0.0:
             raise ParameterError("the first kind requires zeta > 0")
+        if not n >= _MIN_NODES:
+            raise ParameterError(f"operator quadrature needs at least {_MIN_NODES} "
+                                 f"nodes per dimension, got {n}")
         self.kind = kind
         self.zeta = z = float(zeta)
         self.alpha = float(alpha)
@@ -250,14 +269,11 @@ class _DimQuad:
             raise DomainError(f"operator evaluation points must be finite and positive, got {u}")
         # normalized weights may underflow to exact zeros at extreme
         # exponents; their log is -inf and drops out of the final sums
-        # composite splits need room for both parts; below that the plain
-        # rule is the only option (degraded far outside the density scale)
-        splittable = self.n >= 8
         second = self.kind == "second"
         with np.errstate(divide="ignore"):
-            if second and splittable and self.c * u < _NEAR_FIELD * self.f_scale:
+            if second and self.c * u < _NEAR_FIELD * self.f_scale:
                 return self._near_second(self.c * u)
-            if not second and splittable and u > _FAR_FIELD * self.c * self.f_scale:
+            if not second and u > _FAR_FIELD * self.c * self.f_scale:
                 return self._far_first(u)
             # plain: v = c*u/t (second kind) or u*t/c (first; nodes on (0, u/c))
             t, logw = self._plain
@@ -275,8 +291,24 @@ def _zeta_alpha_c(p) -> tuple[float, float, float]:
 # evaluation core
 # ---------------------------------------------------------------------------
 
-def _eval_tensor(plans: Sequence[_DimQuad], point: np.ndarray,
-                 f: MultiDensity, log_shift: float) -> float:
+def _density_values(pdf: Callable[[np.ndarray], np.ndarray], pts: np.ndarray,
+                    shape: tuple[int, ...]) -> np.ndarray:
+    """``pdf(pts)``, checked to hold one finite value per point of ``shape``."""
+    vals = np.asarray(pdf(pts), dtype=float)
+    if vals.shape != shape:
+        raise ShapeError(f"density must return one value per node: expected shape "
+                         f"{shape}, got {vals.shape}")
+    if not np.isfinite(vals).all():
+        idx = np.unravel_index(int(np.argmax(~np.isfinite(vals))), shape)
+        raise EvaluationError(f"density is not finite at {pts[idx]!r}", point=pts[idx])
+    return vals
+
+
+def _eval_point(plans: Sequence[_DimQuad], point: np.ndarray,
+                f: MultiDensity, log_shift: float) -> float:
+    """Operator value at one point: with ``f.factors``, the product of one
+    weighted sum per dimension; otherwise the sum of ``f.pdf`` over the
+    tensor grid of the dimensions' nodes."""
     nodes, scales, weights = [], [], []
     for j, plan in enumerate(plans):
         v, logw = plan.nodes_logw(float(point[j]))
@@ -284,21 +316,17 @@ def _eval_tensor(plans: Sequence[_DimQuad], point: np.ndarray,
         nodes.append(v)
         scales.append(top)
         weights.append(np.exp(logw - top))
-    mesh = np.meshgrid(*nodes, indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    vals = np.asarray(f.pdf(pts), dtype=float)
-    if vals.shape != pts.shape[:-1]:
-        raise ShapeError("density must return one value per tensor point")
-    if not np.isfinite(vals).all():
-        idx = np.unravel_index(int(np.argmax(~np.isfinite(vals))), vals.shape)
-        raise EvaluationError(
-            f"density is not finite at {pts[idx]!r}", point=pts[idx]
-        )
-    acc = vals
-    for w in reversed(weights):
-        acc = np.tensordot(acc, w, axes=([-1], [0]))
+    if f.factors is not None:
+        total = math.prod(float(_density_values(fj, v, v.shape) @ w)
+                          for fj, v, w in zip(f.factors, nodes, weights))
+    else:
+        pts = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)
+        acc = _density_values(f.pdf, pts, pts.shape[:-1])
+        for w in reversed(weights):
+            acc = np.tensordot(acc, w, axes=([-1], [0]))
+        total = float(acc)
     log_scale = math.fsum(scales) - log_shift
-    value = float(acc) * math.exp(log_scale) if log_scale < _LOG_FLOAT_MAX else math.inf
+    value = total * math.exp(log_scale) if log_scale < _LOG_FLOAT_MAX else math.inf
     if not math.isfinite(value):
         raise OverflowError(f"operator value overflows the float range (log prefactor {log_scale:.6g})")
     return value
@@ -321,11 +349,11 @@ def eval_many(kind: str, params, f: MultiDensity, points,
         raise ShapeError(f"density dimension {f.dim} != parameter count {k}")
     if points.shape[-1] != k:
         raise ShapeError(f"points must have {k} coordinates")
-    if n ** k > _MAX_TENSOR_NODES:
+    if f.factors is None and n ** k > _MAX_TENSOR_NODES:
         raise SizeError(f"a tensor grid of {n} nodes in each of {k} dimensions has "
                         f"{n ** k} nodes, over the budget of {_MAX_TENSOR_NODES}")
     plans = [_DimQuad(kind, *_zeta_alpha_c(p), n, f.scale) for p in params]
-    out = np.array([_eval_tensor(plans, pt, f, log_shift) for pt in points])
+    out = np.array([_eval_point(plans, pt, f, log_shift) for pt in points])
     return out[0] if single else out
 
 
@@ -603,16 +631,21 @@ def predicted_density(theorem: str, params, f: MultiDensity, points,
 def gamma_product(shapes: Sequence[float], name: str = "") -> MultiDensity:
     """Product of unit-rate gamma densities with the given shapes.
 
-    Carries an exact sampler (one inverse-CDF uniform per coordinate) and
-    the closed-form Mellin transform
-    ``prod_j Gamma(shape_j + s_j - 1) / Gamma(shape_j)``.
+    Carries an exact sampler (one inverse-CDF uniform per coordinate), the
+    closed-form Mellin transform
+    ``prod_j Gamma(shape_j + s_j - 1) / Gamma(shape_j)``, and one factor
+    pdf per coordinate, on the same log density as the joint ``pdf``.
     """
     shapes = tuple(float(s) for s in shapes)
     if not shapes or any(s <= 0.0 for s in shapes):
         raise ParameterError("gamma shapes must be positive")
     k = len(shapes)
     arr = np.asarray(shapes)
-    log_norm = float(np.sum(gammaln(arr)))
+    log_norm = gammaln(arr)
+
+    def log_pdf(x: np.ndarray, j) -> np.ndarray:
+        """Log density of coordinate ``j`` (an index or a slice) at x > 0."""
+        return (arr[j] - 1.0) * np.log(x) - x - log_norm[j]
 
     def pdf(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -620,8 +653,13 @@ def gamma_product(shapes: Sequence[float], name: str = "") -> MultiDensity:
             raise ShapeError(f"points must have {k} coordinates")
         inside = np.all(pts > 0.0, axis=-1)
         safe = np.where(pts > 0.0, pts, 1.0)
-        logp = np.sum((arr - 1.0) * np.log(safe) - safe, axis=-1) - log_norm
-        return np.where(inside, np.exp(logp), 0.0)
+        return np.where(inside, np.exp(np.sum(log_pdf(safe, slice(None)), axis=-1)), 0.0)
+
+    def factor(j: int) -> Callable[[np.ndarray], np.ndarray]:
+        def pdf_j(x: np.ndarray) -> np.ndarray:
+            x = np.asarray(x, dtype=float)
+            return np.where(x > 0.0, np.exp(log_pdf(np.where(x > 0.0, x, 1.0), j)), 0.0)
+        return pdf_j
 
     def from_uniforms(u: np.ndarray) -> np.ndarray:
         return _gamma_cols(u, shapes)
@@ -630,12 +668,12 @@ def gamma_product(shapes: Sequence[float], name: str = "") -> MultiDensity:
         s = np.asarray(s, dtype=complex)
         if s.shape != (k,):
             raise ShapeError(f"Mellin argument must be a {k}-vector")
-        return complex(np.exp(np.sum(loggamma(arr + s - 1.0) - gammaln(arr))))
+        return complex(np.exp(np.sum(loggamma(arr + s - 1.0) - log_norm)))
 
     return MultiDensity(
         dim=k, pdf=pdf, uniform_cols=k, from_uniforms=from_uniforms,
         mellin=mellin, tail="exp", scale=1.0,
-        name=name or f"gamma-product{shapes}",
+        name=name or f"gamma-product{shapes}", factors=tuple(map(factor, range(k))),
     )
 
 

@@ -251,3 +251,18 @@ def test_criterion_10_negative_controls():
         ok,
         ", ".join(flipped),
     )
+
+
+def test_criterion_11_three_dimensional_identities():
+    # k=3 on the first seed, with the x1.25 control on the same draws
+    details = []
+    ok = True
+    for theorem in ALL_IDS:
+        spec = make_spec(theorem, 3)
+        samples = simulate(spec, N_SAMPLES, SEEDS[0])
+        clean = verify(spec, samples=samples)
+        corrupt = verify(spec, samples=samples, constant_scale=1.25)
+        flips = clean.passed and not corrupt.passed
+        ok = ok and flips
+        details.append(f"{theorem}: max |z| {clean.max_abs_z:.2f}{'' if flips else ' BAD'}")
+    announce("criterion 11 (identities at k=3, with controls)", ok, ", ".join(details))

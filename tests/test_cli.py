@@ -51,16 +51,51 @@ class TestEval:
         ])
         assert code == cli.EXIT_USAGE
 
-    def test_oversized_tensor_dimension_rejected(self, capsys):
+    def test_product_density_beyond_tensor_budget_evaluates(self, tmp_path):
+        # a gamma product is summed one dimension at a time, so k=7 builds
+        # no 64**7 tensor grid; the value is the product of seven k=1 values
         k = 7
+        out = tmp_path / "eval.json"
         code = run_cli([
             "eval", "--kind", "second", "--k", str(k),
             "--zeta", ",".join(["0.5"] * k), "--alpha", ",".join(["1.0"] * k),
             "--density", "gamma:" + ",".join(["2"] * k),
-            "--point", ",".join(["1.0"] * k),
+            "--point", ",".join(["1.0"] * k), "--out", str(out),
+        ])
+        assert code == cli.EXIT_OK
+        got = read_report(out)["result"]["evaluations"][0]["value"]
+        one = kober2_eval(np.array([1.0]), [DimParams(0.5, 1.0)], gamma_product((2.0,))).value
+        assert got == pytest.approx(one ** k, rel=1e-12)
+
+    def test_fewer_than_eight_nodes_is_usage_error(self, capsys):
+        code = run_cli([
+            "eval", "--kind", "first", "--k", "1", "--zeta", "0.5", "--alpha", "1.5",
+            "--point", "1e6", "--nodes", "4",
         ])
         assert code == cli.EXIT_USAGE
-        assert "over the budget" in capsys.readouterr().err
+        assert "at least 8 nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family_args", [
+        ["--kind", "second", "--zeta", "-0.5,0.5", "--alpha", "1,1"],
+        ["--kind", "pathway-second", "--a", "1,1.5", "--q", "-0.5,0.5", "--eta", "1,2",
+         "--zeta", "0.5,0.5"],
+    ])
+    def test_list_starting_with_negative_number(self, family_args, tmp_path):
+        # "--flag -0.5,0.5" reads as "--flag=-0.5,0.5"
+        reports = []
+        for joined in (False, True):
+            args = list(family_args)
+            if joined:
+                i = next(i for i, a in enumerate(args) if a.startswith("-") and a[1].isdigit())
+                args[i - 1:i + 1] = [f"{args[i - 1]}={args[i]}"]
+            out = tmp_path / f"eval_{joined}.json"
+            code = run_cli(["eval", "--k", "2", *args, "--density", "gamma:2,3",
+                            "--point", "1,1", "--out", str(out)])
+            assert code == cli.EXIT_OK
+            doc = read_report(out)
+            del doc["timestamp"], doc["config"]["out"]
+            reports.append(doc)
+        assert reports[0] == reports[1]
 
     def test_other_family_parameters_are_usage_error(self, capsys):
         code = run_cli([
@@ -250,6 +285,21 @@ class TestConfigLayering:
         doc = read_report(out)
         assert doc["config"]["samples"] == 100000  # from config file
         assert doc["config"]["seed"] == 42         # flag wins
+
+    @pytest.mark.parametrize("command, key, value", [
+        (["mellin-check", "--kind", "second", "--k", "1", "--zeta", "0.5", "--alpha", "0.7"],
+         "tol", "abc"),
+        (["verify", "--theorem", "1.1", "--k", "1", "--samples", "20000"],
+         "constant_scale", "x"),
+        (["verify", "--theorem", "1.1", "--k", "1"], "samples", 1.5),
+        (["eval", "--kind", "second", "--k", "1", "--zeta", "0.5", "--alpha", "1.5",
+          "--point", "1.0"], "format", "xml"),
+    ])
+    def test_config_value_read_as_its_flag(self, command, key, value, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run_cli([*command, "--config", str(cfg)]) == cli.EXIT_USAGE
+        assert f"config key '{key}'" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         code = run_cli([

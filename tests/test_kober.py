@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from ekstat.errors import (
     DomainError,
     EvaluationError,
     ParameterError,
+    ShapeError,
     SizeError,
     UsageError,
 )
@@ -296,6 +298,17 @@ class TestEvaluationPlumbing:
         assert kober2_eval(u, params, f, n=8, refine=False).value > 0.0
         assert calls == [(8, 8, 8, 8, 4)]
 
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_fewer_than_eight_nodes_refused(self, n):
+        # with n=4 this point came back as 0 with est_error 1.35e-11, where
+        # the value is about 1.5e-9
+        f = gamma_product((2.0,))
+        with pytest.raises(ParameterError, match="at least 8 nodes"):
+            kober1_eval(np.array([1e6]), [DimParams(0.5, 1.5)], f, n=n)
+        with pytest.raises(ParameterError, match="at least 8 nodes"):
+            eval_many("second", [DimParams(0.5, 1.5)], f, np.array([1.0]), n)
+        assert eval_many("second", [DimParams(0.5, 1.5)], f, np.array([1.0]), 8) > 0.0
+
     def test_nonfinite_density_rejected(self):
         bad = MultiDensity(dim=1, pdf=lambda p: np.full(p.shape[:-1], np.nan))
         with pytest.raises(EvaluationError):
@@ -310,6 +323,81 @@ class TestEvaluationPlumbing:
         f = gamma_product((2.0, 3.0))
         with pytest.raises(Exception):
             kober2_eval(np.array([1.0]), [DimParams(0.5, 1.0)], f)
+
+
+def _pdf_not_called(pts):
+    raise AssertionError("a density with factors must not be evaluated on the tensor grid")
+
+
+class TestSeparablePath:
+    """A density with factors is summed one dimension at a time; the dense
+    tensor sum over the same density's joint pdf is the reference."""
+
+    SHAPES = (2.0, 3.0, 2.5)
+    # per kind: the operator parameters of three dimensions, and one point
+    # in each regime (second: near field, plain, plain far out; first: plain
+    # near 0, plain, far field)
+    CASES = {
+        ("second", "classical"): ([DimParams(-0.5, 1.5), DimParams(0.0, 0.7),
+                                   DimParams(0.8, 1.2)], (0.01, 1.3, 30.0)),
+        ("second", "pathway"): ([PathwayDimParams(1.0, 0.5, 1.0, -0.3),
+                                 PathwayDimParams(1.5, 0.25, 2.0, 0.8),
+                                 PathwayDimParams(1.0, 0.5, 1.0, 0.5)], (0.01, 1.3, 30.0)),
+        ("first", "classical"): ([DimParams(1.5, 1.0), DimParams(2.0, 0.7),
+                                  DimParams(1.2, 1.3)], (1e-3, 1.3, 1e3)),
+        ("first", "pathway"): ([PathwayDimParams(1.0, 0.5, 1.0, 1.5),
+                                PathwayDimParams(1.5, 0.25, 2.0, 1.0),
+                                PathwayDimParams(1.0, 0.5, 1.0, 2.0)], (1e-3, 1.3, 1e3)),
+    }
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("case", list(CASES), ids="-".join)
+    def test_dense_and_separable_agree(self, case, k, n):
+        params, regimes = self.CASES[case]
+        f = gamma_product(self.SHAPES[:k])
+        # each row puts every regime in some dimension
+        pts = np.array([np.roll(regimes, -r)[:k] for r in range(3)])
+        sep = eval_many(case[0], params[:k], dataclasses.replace(f, pdf=_pdf_not_called), pts, n)
+        dense = eval_many(case[0], params[:k], dataclasses.replace(f, factors=None), pts, n)
+        assert np.all(dense > 0.0)
+        np.testing.assert_allclose(sep, dense, rtol=1e-12, atol=0.0)
+
+    def test_four_dimensions_beyond_the_tensor_budget(self):
+        shapes = (2.0, 3.0, 2.5, 1.5)
+        params = [DimParams(0.5, 1.5), DimParams(1.0, 0.7), DimParams(-0.3, 1.2),
+                  DimParams(0.8, 0.9)]
+        u = np.array([0.8, 1.7, 0.05, 2.5])
+        f = gamma_product(shapes)
+        joint = kober2_eval(u, params, f)
+        parts = [kober2_eval(u[j:j + 1], params[j:j + 1], gamma_product(shapes[j:j + 1]))
+                 for j in range(4)]
+        assert joint.value == pytest.approx(math.prod(r.value for r in parts), rel=1e-12)
+        # the same density without factors is refused before a grid is built
+        with pytest.raises(SizeError, match="over the budget"):
+            eval_many("second", params, dataclasses.replace(f, factors=None), u, 64)
+
+    def test_nonfinite_factor_rejected(self):
+        f = MultiDensity(dim=2, pdf=_pdf_not_called,
+                         factors=(lambda x: np.exp(-x), lambda x: np.where(x > 2.0, np.inf, 1.0)))
+        with pytest.raises(EvaluationError, match="not finite") as info:
+            eval_many("second", [DimParams(0.5, 1.0)] * 2, f, np.ones(2))
+        assert info.value.point > 2.0
+
+    def test_factor_shape_checked(self):
+        f = MultiDensity(dim=2, pdf=_pdf_not_called, factors=(lambda x: np.exp(-x), lambda x: np.ones(3)))
+        with pytest.raises(ShapeError, match="one value per node"):
+            eval_many("second", [DimParams(0.5, 1.0)] * 2, f, np.ones(2))
+
+    def test_factor_count_must_match_dimension(self):
+        with pytest.raises(ShapeError, match="needs 2 factors"):
+            MultiDensity(dim=2, pdf=_pdf_not_called, factors=(np.exp,))
+
+    def test_dense_prefactor_overflow_raises(self):
+        # the separable twin is test_prefactor_overflow_raises
+        f = dataclasses.replace(gamma_product((2.0, 2.0)), factors=None)
+        with pytest.raises(OverflowError, match=r"log prefactor 1256\.9"):
+            kober2_eval(np.array([1e-300, 1e-300]), [DimParams(-0.9, 0.1)] * 2, f, refine=False)
 
 
 class TestPlainRegimeReference:
