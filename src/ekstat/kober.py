@@ -40,6 +40,7 @@ from .densities import (
     PathwayDimParams,
     SampleMatrix,
     _gamma_cols,
+    gamma_uniform_cols,
 )
 from .errors import (
     DomainError,
@@ -107,7 +108,9 @@ class MultiDensity:
     and returns nonnegative values of shape (...).  It must be safe to call
     concurrently.  Optional extras power the statistical machinery:
     ``from_uniforms`` turns an (n, uniform_cols) block of open-interval
-    uniforms into exact draws (fixed column consumption per row), and
+    uniforms into exact draws (a fixed number of columns per row, however
+    many a rejection step uses, so a row's draws depend on its uniforms
+    alone), and
     ``mellin`` is a closed-form Mellin transform taking a complex vector of
     length ``dim``.
 
@@ -161,6 +164,13 @@ class OperatorResult:
 # per-dimension quadrature plans
 # ---------------------------------------------------------------------------
 
+def check_nodes(n: int) -> None:
+    """ParameterError unless ``n`` nodes per dimension are enough."""
+    if not n >= _MIN_NODES:
+        raise ParameterError(f"operator quadrature needs at least {_MIN_NODES} "
+                             f"nodes per dimension, got {n}")
+
+
 class _DimQuad:
     """Nodes and log-weights for one dimension of an operator integral.
 
@@ -176,9 +186,7 @@ class _DimQuad:
             raise UsageError(f"unknown operator kind {kind!r}")
         if kind == "first" and not zeta > 0.0:
             raise ParameterError("the first kind requires zeta > 0")
-        if not n >= _MIN_NODES:
-            raise ParameterError(f"operator quadrature needs at least {_MIN_NODES} "
-                                 f"nodes per dimension, got {n}")
+        check_nodes(n)
         self.kind = kind
         self.zeta = z = float(zeta)
         self.alpha = float(alpha)
@@ -631,7 +639,8 @@ def predicted_density(theorem: str, params, f: MultiDensity, points,
 def gamma_product(shapes: Sequence[float], name: str = "") -> MultiDensity:
     """Product of unit-rate gamma densities with the given shapes.
 
-    Carries an exact sampler (one inverse-CDF uniform per coordinate), the
+    Carries an exact sampler (a fixed run of uniforms per coordinate, see
+    :func:`ekstat.densities.gamma_uniform_cols`), the
     closed-form Mellin transform
     ``prod_j Gamma(shape_j + s_j - 1) / Gamma(shape_j)``, and one factor
     pdf per coordinate, on the same log density as the joint ``pdf``.
@@ -671,7 +680,7 @@ def gamma_product(shapes: Sequence[float], name: str = "") -> MultiDensity:
         return complex(np.exp(np.sum(loggamma(arr + s - 1.0) - log_norm)))
 
     return MultiDensity(
-        dim=k, pdf=pdf, uniform_cols=k, from_uniforms=from_uniforms,
+        dim=k, pdf=pdf, uniform_cols=gamma_uniform_cols(shapes), from_uniforms=from_uniforms,
         mellin=mellin, tail="exp", scale=1.0,
         name=name or f"gamma-product{shapes}", factors=tuple(map(factor, range(k))),
     )

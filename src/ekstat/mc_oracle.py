@@ -22,10 +22,12 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-# The sampling path draws through ``densities`` and ``streams.run_rows`` and
-# no longer calls ``gammaincinv``, ``beta_from_uniforms`` or
-# ``uniform_block_parallel`` here; the names stay importable from this module
-# because benchmarks/tracing.py wraps them by name.
+# The sampling path draws through ``densities`` (fixed-column Marsaglia-Tsang
+# gamma draws, with ``gammaincinv`` only as their fallback) and
+# ``streams.run_rows``; it calls none of ``gammaincinv``,
+# ``beta_from_uniforms`` or ``uniform_block_parallel`` through this module.
+# The names stay importable here because benchmarks/tracing.py patches them
+# by name.
 from scipy.special import gammaincinv  # noqa: F401
 
 from . import transforms
@@ -34,12 +36,16 @@ from .densities import (
     SampleMatrix,
     beta_from_uniforms,  # noqa: F401
     beta_product_from_uniforms,
+    beta_shapes,
     dirichlet_from_uniforms,
+    dirichlet_shapes,
+    gamma_uniform_cols,
 )
 from .errors import ParameterError, ShapeError, SizeError, UsageError
 from .kober import (
     IDENTITY_IDS,
     MultiDensity,
+    check_nodes,
     eval_many,
     gamma_product,
     identity_record,
@@ -133,8 +139,9 @@ def simulate_parts(spec: TheoremSpec, n: int, seed: int, workers: int = 1) -> di
         raise UsageError("the identity's density f carries no sampler")
     rec = identity_record(spec.theorem)
     dirichlet = isinstance(spec.params, DirichletParams)
-    cols_x = spec.k + 1 if dirichlet else 2 * spec.k
     triples = None if dirichlet else rec.beta(spec.params).triples
+    cols_x = gamma_uniform_cols(dirichlet_shapes(spec.params) if dirichlet
+                                else beta_shapes(triples))
     x, v, u = (np.empty((max(n, 0), spec.k)) for _ in range(3))
     y = np.empty_like(x) if rec.triangular else x
 
@@ -400,6 +407,7 @@ def verify(
         raise SizeError(f"verification supports at most {MAX_VERIFY_DIM} dimensions")
     if not 0.0 < constant_scale < math.inf:
         raise ParameterError(f"constant_scale must be finite and positive, got {constant_scale}")
+    check_nodes(n_nodes)
     if samples is None:
         samples = simulate(spec, n_samples, seed, workers)
     else:

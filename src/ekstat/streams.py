@@ -4,8 +4,8 @@ All samplers in this library draw their randomness through
 :func:`uniform_block`, which lays out one fixed-width row of uniforms per
 sample.  Rows are aligned to Philox counter blocks (4 doubles each), so any
 contiguous row range can be generated on its own.  :func:`run_rows` uses
-this to run a whole per-row pipeline (uniforms, inverse-CDF draws and
-whatever follows them) on contiguous row ranges in a thread pool, at most
+this to run a whole per-row pipeline (uniforms, gamma draws and whatever
+follows them) on contiguous row ranges in a thread pool, at most
 one thread per CPU.  Each range is worked in chunks of a fixed number of
 rows that write into preallocated outputs, so the result equals the
 single-worker output exactly, row for row, for any worker count.
@@ -24,8 +24,8 @@ from .errors import EmptyRequestError, ParameterError
 WORKERS_ENV_VAR = "EKSTAT_WORKERS"
 
 # Generator.random returns multiples of 2**-53 in [0, 1 - 2**-53]; lifting 0
-# to the next one keeps uniforms strictly inside (0,1), so inverse CDFs never
-# hit the endpoints.
+# to the next one keeps uniforms strictly inside (0,1), so inverse CDFs and
+# logs never hit the endpoints.
 _U_LO = 2.0 ** -53
 
 
@@ -58,8 +58,9 @@ def _cpu_count() -> int:
 
 
 # rows per call of a run_rows callback: keeps each call's temporaries to a
-# few MB, whatever the sample size
-_CHUNK_ROWS = 1 << 16
+# few MB, whatever the sample size (a verify row at k=3 holds up to 36
+# uniforms, three or four per gamma draw); the draws do not depend on it
+_CHUNK_ROWS = 1 << 14
 
 
 def run_rows(fn, n_rows: int, workers: int = 1) -> None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ekstat.cli as cli
+import ekstat.mc_oracle as mc_oracle
 from ekstat.kober import DimParams, gamma_product, kober2_eval
 
 
@@ -217,6 +218,15 @@ class TestVerify:
 
     def test_unknown_theorem_is_usage_error(self):
         assert run_cli(["verify", "--theorem", "9.9", "--k", "1"]) == cli.EXIT_USAGE
+
+    def test_fewer_than_eight_nodes_exits_before_drawing(self, monkeypatch, capsys):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("simulate called")
+
+        monkeypatch.setattr(mc_oracle, "simulate", no_draws)
+        code = run_cli(["verify", "--theorem", "1.1", "--k", "1", "--nodes", "4"])
+        assert code == cli.EXIT_USAGE
+        assert "at least 8 nodes" in capsys.readouterr().err
 
     def test_partial_parameter_set_is_usage_error(self, capsys):
         code = run_cli(["verify", "--theorem", "1.1", "--k", "1", "--zeta", "5.0",

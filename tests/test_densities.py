@@ -3,17 +3,23 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import betaln
+from scipy.special import betaln, gammaincinv, ndtri
 
 from ekstat.densities import (
     BetaParams,
     DirichletParams,
     GenDirichletParams,
     PathwayDimParams,
+    _gamma_cols,
     beta1_pdf,
     beta1_sample,
+    beta_product_from_uniforms,
+    beta_shapes,
     dirichlet1_pdf,
     dirichlet1_sample,
+    dirichlet_from_uniforms,
+    dirichlet_shapes,
+    gamma_uniform_cols,
     gen_dirichlet1_pdf,
     gen_dirichlet1_sample,
     pathway_factor,
@@ -22,7 +28,9 @@ from ekstat.densities import (
     pathway_pdf,
     pathway_sample,
 )
-from ekstat.errors import EmptyRequestError, ParameterError
+from ekstat.errors import EmptyRequestError, ParameterError, ShapeError
+from ekstat.kober import gamma_product
+from ekstat.streams import uniform_block
 from ekstat.transforms import forward, ratio_beta_pairs
 
 LEGGAUSS_N = 400
@@ -386,3 +394,90 @@ class TestPathwayLimitFactor:
     def test_outside_support_is_zero(self):
         p = PathwayDimParams(1.0, 0.0, 1.0, 0.0)  # support of u/v in (0,1)
         assert pathway_factor(3.0, 1.0, p) == 0.0
+
+
+GAMMA_SHAPES = [0.3, 0.7, 1.0, 2.0, 3.0, 20.0]
+
+
+def _rejecting(u):
+    """A copy of a gamma draw's uniform run whose Marsaglia-Tsang candidate
+    rejects: the smallest uniform gives a normal near -8.2, and the largest
+    accept uniform then fails the log test for every shape in GAMMA_SHAPES."""
+    u = u.copy()
+    u[:, 0], u[:, 1] = 2.0 ** -53, 1.0 - 2.0 ** -53
+    return u
+
+
+class TestGammaSampler:
+    """Fixed-column gamma draws, against scipy's gamma law and inverse CDF."""
+
+    @pytest.mark.parametrize("shape", GAMMA_SHAPES)
+    def test_draws_follow_the_gamma_law(self, shape):
+        n = 200_000
+        u = uniform_block(31, n, gamma_uniform_cols([shape]))
+        draws = _gamma_cols(u, [shape])[:, 0]
+        assert stats.kstest(draws, stats.gamma(shape).cdf).pvalue > 1e-3
+
+    def test_column_widths(self):
+        # normal, accept and reserved uniforms; a boost below shape 1
+        assert gamma_uniform_cols([2.0]) == 3
+        assert gamma_uniform_cols([0.5]) == 4
+        assert gamma_uniform_cols(GAMMA_SHAPES) == 20
+
+    @pytest.mark.parametrize("shape", [0.3, 0.7])
+    def test_shape_below_one_boosts_a_shape_plus_one_draw(self, shape):
+        u = uniform_block(32, 20_000, gamma_uniform_cols([shape]))
+        lifted = _gamma_cols(u[:, :-1], [shape + 1.0])[:, 0]
+        got = _gamma_cols(u, [shape])[:, 0]
+        assert np.array_equal(got, lifted * u[:, -1] ** (1.0 / shape))
+        assert stats.kstest(u[:, -1] ** (1.0 / shape), stats.beta(shape, 1.0).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("shape", GAMMA_SHAPES)
+    def test_rejected_rows_use_the_inverse_cdf(self, shape):
+        u = _rejecting(uniform_block(33, 2000, gamma_uniform_cols([shape])))
+        lifted = shape + 1.0 if shape < 1.0 else shape
+        want = gammaincinv(lifted, u[:, 2])
+        if shape < 1.0:
+            want = want * u[:, 3] ** (1.0 / shape)
+        assert np.array_equal(_gamma_cols(u, [shape])[:, 0], want)
+
+    @pytest.mark.parametrize("shape", GAMMA_SHAPES)
+    def test_each_draw_is_the_candidate_or_the_fallback(self, shape):
+        u = uniform_block(34, 20_000, gamma_uniform_cols([shape]))
+        lifted = shape + 1.0 if shape < 1.0 else shape
+        d = lifted - 1.0 / 3.0
+        candidate = d * (1.0 + ndtri(u[:, 0]) / math.sqrt(9.0 * d)) ** 3
+        if shape < 1.0:
+            candidate = candidate * u[:, 3] ** (1.0 / shape)
+        got = _gamma_cols(u, [shape])[:, 0]
+        fallback = _gamma_cols(_rejecting(u), [shape])[:, 0]
+        kept = got == candidate
+        assert np.array_equal(got[~kept], fallback[~kept])
+        # Marsaglia-Tsang rejects at most 4.8% of the candidates (at shape 1)
+        assert kept.mean() > 0.94
+
+    def test_columns_run_per_shape_in_order(self):
+        shapes = [2.0, 0.5, 3.0]
+        u = uniform_block(35, 1000, gamma_uniform_cols(shapes))
+        got = _gamma_cols(u, shapes)
+        edges = np.cumsum([0] + [gamma_uniform_cols([s]) for s in shapes])
+        for j, s in enumerate(shapes):
+            assert np.array_equal(got[:, j], _gamma_cols(u[:, edges[j]:edges[j + 1]], [s])[:, 0])
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_misaligned_block_raises(self, extra):
+        triples = [(2.0, 3.0, 1.0), (0.5, 1.5, 2.0)]
+        dirichlet = DirichletParams((0.5, 1.0), 2.0)
+        f = gamma_product((2.0, 0.5))
+        cases = [
+            (f.from_uniforms, f.uniform_cols),
+            (lambda u: beta_product_from_uniforms(u, triples),
+             gamma_uniform_cols(beta_shapes(triples))),
+            (lambda u: dirichlet_from_uniforms(u, dirichlet),
+             gamma_uniform_cols(dirichlet_shapes(dirichlet))),
+        ]
+        for draw, width in cases:
+            u = uniform_block(36, 10, width + extra)
+            with pytest.raises(ShapeError, match="uniform columns"):
+                draw(u)
+            assert draw(uniform_block(36, 10, width)).shape[0] == 10

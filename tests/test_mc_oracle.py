@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ekstat.errors import ShapeError, SizeError, UsageError
+import ekstat.mc_oracle as mc_oracle
+from ekstat.errors import ParameterError, ShapeError, SizeError, UsageError
 from ekstat.kober import (
     IDENTITY_IDS,
     DimParams,
@@ -131,6 +132,14 @@ class TestVerify:
             "1.1", spec.params, spec.f,
             (0.5 + np.linspace(-h[0] / 2, h[0] / 2, 9))[:, None]))
         assert abs(est[0] - box_avg) < 4.0 * se[0]
+
+    def test_node_count_checked_before_drawing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("simulate called")
+
+        monkeypatch.setattr(mc_oracle, "simulate", no_draws)
+        with pytest.raises(ParameterError, match="at least 8 nodes"):
+            verify(make_spec("1.1", 1), n_nodes=4)
 
     def test_identity_passes_and_corruption_fails(self):
         spec = make_spec("1.1", 1)
