@@ -312,27 +312,9 @@ def _density_values(pdf: Callable[[np.ndarray], np.ndarray], pts: np.ndarray,
     return vals
 
 
-def _eval_point(plans: Sequence[_DimQuad], point: np.ndarray,
-                f: MultiDensity, log_shift: float) -> float:
-    """Operator value at one point: with ``f.factors``, the product of one
-    weighted sum per dimension; otherwise the sum of ``f.pdf`` over the
-    tensor grid of the dimensions' nodes."""
-    nodes, scales, weights = [], [], []
-    for j, plan in enumerate(plans):
-        v, logw = plan.nodes_logw(float(point[j]))
-        top = float(np.max(logw))
-        nodes.append(v)
-        scales.append(top)
-        weights.append(np.exp(logw - top))
-    if f.factors is not None:
-        total = math.prod(float(_density_values(fj, v, v.shape) @ w)
-                          for fj, v, w in zip(f.factors, nodes, weights))
-    else:
-        pts = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)
-        acc = _density_values(f.pdf, pts, pts.shape[:-1])
-        for w in reversed(weights):
-            acc = np.tensordot(acc, w, axes=([-1], [0]))
-        total = float(acc)
+def _scaled(total: float, scales: Sequence[float], log_shift: float) -> float:
+    """``total`` times exp(sum of the dimensions' top log weights minus
+    ``log_shift``), or OverflowError when that leaves the float range."""
     log_scale = math.fsum(scales) - log_shift
     value = total * math.exp(log_scale) if log_scale < _LOG_FLOAT_MAX else math.inf
     if not math.isfinite(value):
@@ -340,10 +322,54 @@ def _eval_point(plans: Sequence[_DimQuad], point: np.ndarray,
     return value
 
 
+def _dense_point(plans: Sequence[_DimQuad], point: Sequence[float],
+                 pdf: Callable[[np.ndarray], np.ndarray], log_shift: float) -> float:
+    """Operator value at one point: the sum of ``pdf`` over the tensor grid
+    of the dimensions' nodes."""
+    nodes, scales, weights = [], [], []
+    for plan, u in zip(plans, point):
+        v, logw = plan.nodes_logw(u)
+        top = float(np.max(logw))
+        nodes.append(v)
+        scales.append(top)
+        weights.append(np.exp(logw - top))
+    pts = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)
+    acc = _density_values(pdf, pts, pts.shape[:-1])
+    for w in reversed(weights):
+        acc = np.tensordot(acc, w, axes=([-1], [0]))
+    return _scaled(float(acc), scales, log_shift)
+
+
+def _separable_values(plans: Sequence[_DimQuad], points: list[list[float]],
+                      factors: Sequence[Callable[[np.ndarray], np.ndarray]],
+                      log_shift: float) -> np.ndarray:
+    """Operator values at points of a product density: per point, the
+    product of one weighted factor sum per dimension.
+
+    Sum j depends on coordinate j alone, so each dimension computes its
+    (sum, top log weight) once per distinct coordinate value and a tensor
+    grid of points costs one sum per grid line.  A point's new coordinates
+    get their nodes before any factor is called, so a bad coordinate is a
+    DomainError ahead of a density error, as for a single point.
+    """
+    sums: list[dict[float, tuple[float, float]]] = [{} for _ in plans]
+    out = np.empty(len(points))
+    for i, point in enumerate(points):
+        rules = [(j, u, plans[j].nodes_logw(u))
+                 for j, u in enumerate(point) if u not in sums[j]]
+        for j, u, (v, logw) in rules:
+            top = float(np.max(logw))
+            sums[j][u] = float(_density_values(factors[j], v, v.shape) @ np.exp(logw - top)), top
+        entries = [sums[j][u] for j, u in enumerate(point)]
+        out[i] = _scaled(math.prod(s for s, _ in entries), [top for _, top in entries], log_shift)
+    return out
+
+
 def eval_many(kind: str, params, f: MultiDensity, points,
               n: int = DEFAULT_NODES, log_shift: float = 0.0) -> np.ndarray:
     """Vectorized operator evaluation at (m, k) points (a single k-vector
-    gives a scalar).
+    gives a scalar).  With ``f.factors`` each dimension sums once per
+    distinct coordinate value; other densities sum the dense grid per point.
 
     ``log_shift`` is subtracted from the log prefactor before
     exponentiation, allowing fused computation of operator/constant ratios.
@@ -361,7 +387,11 @@ def eval_many(kind: str, params, f: MultiDensity, points,
         raise SizeError(f"a tensor grid of {n} nodes in each of {k} dimensions has "
                         f"{n ** k} nodes, over the budget of {_MAX_TENSOR_NODES}")
     plans = [_DimQuad(kind, *_zeta_alpha_c(p), n, f.scale) for p in params]
-    out = np.array([_eval_point(plans, pt, f, log_shift) for pt in points])
+    rows = points.tolist()
+    if f.factors is not None:
+        out = _separable_values(plans, rows, f.factors, log_shift)
+    else:
+        out = np.array([_dense_point(plans, pt, f.pdf, log_shift) for pt in rows])
     return out[0] if single else out
 
 

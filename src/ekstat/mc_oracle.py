@@ -227,7 +227,11 @@ def default_probes(samples):
     k = data.shape[1]
     if k not in _BANDWIDTH_FRAC:
         raise SizeError(f"probe grids support at most {MAX_VERIFY_DIM} dimensions")
-    qs = np.quantile(data, np.concatenate([_PROBE_LEVELS, [0.05, 0.25, 0.75, 0.95]]), axis=0)
+    # quantiles depend on the order statistics alone, so each sorted column
+    # gives the same values as np.quantile over the data, in less time and memory
+    levels = np.concatenate([_PROBE_LEVELS, [0.05, 0.25, 0.75, 0.95]])
+    qs = np.stack([np.quantile(np.sort(data[:, j]), levels, overwrite_input=True)
+                   for j in range(k)], axis=-1)
     qs, (lo, q25, q75, hi) = qs[:-4], qs[-4:]     # (levels, k), 4 x (k,)
     # robust scale: the central 90% range unless the tails dominate it
     scale = np.minimum(hi - lo, 2.7 * (q75 - q25))
@@ -360,7 +364,7 @@ def _box_average(kind, dims, f, probes, bandwidths, n_nodes, log_shift):
     """
     nodes, wts = _GL_BOX
     k = probes.shape[1]
-    out = np.empty(probes.shape[0])
+    boxes, pts = [], []     # (probe index, node weights, mass fraction), nodes
     for i, p in enumerate(probes):
         axes, mass_fraction = [], 1.0
         for j in range(k):
@@ -373,15 +377,22 @@ def _box_average(kind, dims, f, probes, bandwidths, n_nodes, log_shift):
             mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
             axes.append((mid + half * nodes, wts / 2.0))
         if axes is None:
-            out[i] = 0.0
             continue
         mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        pts.append(np.stack([m.ravel() for m in mesh], axis=-1))
         wall = axes[0][1]
         for a in axes[1:]:
             wall = np.multiply.outer(wall, a[1])
-        vals = eval_many(kind, dims, f, pts, n_nodes, log_shift=log_shift)
-        out[i] = float(np.dot(wall.ravel(), vals)) * mass_fraction
+        boxes.append((i, wall.ravel(), mass_fraction))
+    out = np.zeros(probes.shape[0])
+    if not boxes:
+        return out
+    # one call for every box: the boxes share their coordinates per
+    # dimension, and eval_many sums each distinct coordinate once
+    vals = eval_many(kind, dims, f, np.concatenate(pts), n_nodes, log_shift=log_shift)
+    size = len(nodes) ** k
+    for b, (i, wall, mass_fraction) in enumerate(boxes):
+        out[i] = float(np.dot(wall, vals[b * size:(b + 1) * size])) * mass_fraction
     return out
 
 

@@ -89,6 +89,25 @@ def test_criterion_02_mellin_factorization_first_kind():
     )
 
 
+@pytest.mark.parametrize("kind, zetas, alphas", [
+    ("second", (0.5, 1.0, 0.8), (0.7, 1.3, 1.2)),
+    ("first", (1.0, 2.0, 1.5), (0.7, 1.3, 1.0)),
+])
+def test_criterion_02b_mellin_factorization_three_dimensions(kind, zetas, alphas):
+    f = gamma_product((2.0, 3.0, 4.0))
+    params = [DimParams(z, a) for z, a in zip(zetas, alphas)]
+    t0 = time.time()
+    report = mellin_factorization_check(kind, params, f, n=64, tol=1e-6)
+    elapsed = time.time() - t0
+    ok = report.passed and report.max_rel_err <= 1e-6
+    announce(
+        f"criterion 2b (Mellin factorization, {kind} kind, k=3)",
+        ok,
+        f"max rel err {report.max_rel_err:.3e} over {len(report.s_points)} "
+        f"grid points in {elapsed:.1f}s",
+    )
+
+
 def test_criterion_03_density_identities_classical(mc_matrix):
     ok_11, detail_11 = matrix_ok(mc_matrix, "1.1")
     ok_21, detail_21 = matrix_ok(mc_matrix, "2.1")

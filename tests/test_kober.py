@@ -31,6 +31,7 @@ from ekstat.kober import (
     predicted_density,
 )
 from ekstat.mc_oracle import make_spec
+from ekstat.mellin import mellin_factorization_check
 from ekstat.quadrature import semiaxis_log_rule
 
 # frozen from the alternating series -euler_gamma + sum (-1)^(n+1)/(n n!),
@@ -398,6 +399,88 @@ class TestSeparablePath:
         f = dataclasses.replace(gamma_product((2.0, 2.0)), factors=None)
         with pytest.raises(OverflowError, match=r"log prefactor 1256\.9"):
             kober2_eval(np.array([1e-300, 1e-300]), [DimParams(-0.9, 0.1)] * 2, f, refine=False)
+
+
+def _counted_factors(f: MultiDensity, calls: list) -> MultiDensity:
+    """``f`` with each factor call recorded in ``calls`` as (dimension, nodes)."""
+    def counted(j, fj):
+        def factor(x):
+            calls.append((j, len(x)))
+            return fj(x)
+        return factor
+    return dataclasses.replace(f, pdf=_pdf_not_called,
+                               factors=tuple(counted(j, fj) for j, fj in enumerate(f.factors)))
+
+
+class TestSeparableBatches:
+    """A batch of points on a product density sums each distinct coordinate
+    once per dimension; its values and errors are those of one point at a
+    time."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("case", list(TestSeparablePath.CASES), ids="-".join)
+    def test_batch_equals_single_points_bit_for_bit(self, case, k):
+        params, regimes = TestSeparablePath.CASES[case]
+        f = gamma_product(TestSeparablePath.SHAPES[:k])
+        # every regime plus a plain value per dimension, on a shuffled
+        # tensor grid with each point twice
+        coords = [np.roll(regimes + (0.7,), -j) for j in range(k)]
+        grid = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1).reshape(-1, k)
+        pts = np.random.default_rng(k).permutation(np.concatenate([grid, grid]))
+        for shift in (0.0, 3.5):
+            batch = eval_many(case[0], params[:k], f, pts, log_shift=shift)
+            single = np.array([eval_many(case[0], params[:k], f, p, log_shift=shift)
+                               for p in pts])
+            assert np.all(batch > 0.0)
+            assert np.array_equal(batch, single)
+
+    def test_tensor_grid_sums_each_grid_line_once(self):
+        calls = []
+        f = _counted_factors(gamma_product((2.0, 3.0)), calls)
+        axis = np.geomspace(1e-3, 50.0, 64)
+        pts = np.stack(np.meshgrid(axis, axis[::-1], indexing="ij"), axis=-1).reshape(-1, 2)
+        vals = eval_many("second", [DimParams(0.5, 0.7), DimParams(1.0, 1.3)], f, pts)
+        assert vals.shape == (4096,) and np.all(vals > 0.0)
+        assert len(calls) == 128
+        assert sorted(j for j, _ in calls) == [0] * 64 + [1] * 64
+
+    def test_mellin_check_sums_each_grid_line_once(self):
+        # the k=2 check evaluates the operator image on a 64 x 64 grid
+        calls = []
+        f = _counted_factors(gamma_product((2.0, 3.0)), calls)
+        report = mellin_factorization_check(
+            "second", [DimParams(0.5, 0.7), DimParams(1.0, 1.3)], f, n=64)
+        assert report.passed
+        assert len(calls) == 128
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_coordinate_after_good_points(self, bad):
+        pts = np.array([[1.0, 2.0], [1.0, 3.0], [bad, 2.0]])
+        with pytest.raises(DomainError, match="finite and positive"):
+            eval_many("second", [DimParams(0.5, 1.0)] * 2, gamma_product((2.0, 3.0)), pts)
+
+    def test_bad_coordinate_raises_before_a_density_error(self):
+        # dimension 0's factor fails at this point, dimension 1's coordinate
+        # is NaN: the point's coordinates are checked first
+        f = MultiDensity(dim=2, pdf=_pdf_not_called,
+                         factors=(lambda x: np.where(x > 2.0, np.inf, 1.0), lambda x: np.exp(-x)))
+        with pytest.raises(DomainError):
+            eval_many("first", [DimParams(1.0, 1.0)] * 2, f, np.array([[1.0, 1.0], [5.0, np.nan]]))
+
+    def test_prefactor_overflow_after_good_points(self):
+        pts = np.array([[1.0, 1.0], [0.5, 1.0], [1e-300, 1e-300]])
+        with pytest.raises(OverflowError, match=r"log prefactor 1256\.9"):
+            eval_many("second", [DimParams(-0.9, 0.1)] * 2, gamma_product((2.0, 2.0)), pts)
+
+    def test_nonfinite_factor_after_good_points(self):
+        # first kind: the nodes of u lie in (0, u), so only the last point
+        # reaches the factor's non-finite values above 2
+        f = MultiDensity(dim=2, pdf=_pdf_not_called,
+                         factors=(lambda x: np.exp(-x), lambda x: np.where(x > 2.0, np.inf, 1.0)))
+        pts = np.array([[1.0, 1.0], [3.0, 1.5], [1.0, 5.0]])
+        with pytest.raises(EvaluationError, match="not finite at") as info:
+            eval_many("first", [DimParams(1.0, 1.0)] * 2, f, pts)
+        assert 2.0 < info.value.point < 5.0
 
 
 class TestPlainRegimeReference:

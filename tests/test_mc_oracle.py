@@ -10,9 +10,11 @@ from ekstat.kober import (
     IDENTITY_IDS,
     DimParams,
     MultiDensity,
+    eval_many,
     exponential_product,
     gamma_product,
     identity_record,
+    identity_setup,
 )
 from ekstat.mc_oracle import (
     default_probes,
@@ -249,3 +251,42 @@ class TestDefaultProbes:
         hi = np.quantile(data, 0.95, axis=0)
         assert np.all(probes >= lo) and np.all(probes <= hi)
         assert bw.shape == (2,)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_probes_equal_quantiles_of_the_data(self, k):
+        # sorted columns give np.quantile's values bit for bit, ties included
+        rng = np.random.default_rng(60 + k)
+        data = rng.gamma(2.0, size=(20_001, k))
+        data[:, 0] = np.round(data[:, 0], 1)     # heavily tied column
+        data[::7, -1] = data[0, -1]              # one value repeated
+        levels = np.concatenate([mc_oracle._PROBE_LEVELS, [0.05, 0.25, 0.75, 0.95]])
+        qs = np.quantile(data, levels, axis=0)
+        probes, bw = default_probes(data)
+        mesh = np.meshgrid(*[qs[:5, j] for j in range(k)], indexing="ij")
+        assert np.array_equal(probes, np.stack([m.ravel() for m in mesh], axis=-1))
+        scale = np.minimum(qs[8] - qs[5], 2.7 * (qs[7] - qs[6]))
+        assert np.array_equal(bw, mc_oracle._BANDWIDTH_FRAC[k] * scale)
+
+
+class TestBoxAverage:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_call_equals_one_box_at_a_time(self, monkeypatch, k):
+        kind, dims, log_c = identity_setup("1.1", make_spec("1.1", k).params)
+        f = mc_oracle.default_density(k)
+        # a grid of probes with repeated coordinates, the first row's boxes
+        # clipped at 0 and the last probe's box below it entirely
+        axis = np.array([0.01, 0.4, 1.1, 2.5])
+        probes = np.stack(np.meshgrid(*[axis] * k, indexing="ij"), axis=-1).reshape(-1, k)
+        probes = np.vstack([probes, np.full(k, -1.0)])
+        bw = np.linspace(0.1, 0.3, k)
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(len(args[3]))
+            return eval_many(*args, **kw)
+        monkeypatch.setattr(mc_oracle, "eval_many", counted)
+        batch = mc_oracle._box_average(kind, dims, f, probes, bw, 64, log_c)
+        assert calls == [3**k * (len(probes) - 1)]
+        single = [mc_oracle._box_average(kind, dims, f, p[None], bw, 64, log_c)[0] for p in probes]
+        assert np.array_equal(batch, single)
+        assert batch[-1] == 0.0 and np.all(batch[:-1] > 0.0)
