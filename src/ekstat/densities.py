@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaincinv, gammaln, ndtri
 
 from . import transforms
 from .errors import ParameterError, ShapeError
@@ -34,6 +33,14 @@ from .streams import map_uniform_rows
 # parameter records
 # ---------------------------------------------------------------------------
 
+def check_finite(what: str, values: Sequence[float]) -> None:
+    """ParameterError unless every value is a finite float: an inf or nan
+    parameter would flow into the samplers and the rules as nan."""
+    for v in values:
+        if not math.isfinite(v):
+            raise ParameterError(f"{what} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class BetaParams:
     """Type-1 beta parameters; density x^(first-1) (1-x)^(second-1) / B."""
@@ -42,6 +49,7 @@ class BetaParams:
     second: float
 
     def __post_init__(self):
+        check_finite("beta parameters", (self.first, self.second))
         if not (self.first > 0.0 and self.second > 0.0):
             raise ParameterError(
                 f"beta parameters must be positive, got ({self.first}, {self.second})"
@@ -63,6 +71,7 @@ class DirichletParams:
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        check_finite("Dirichlet parameters", self.alphas + (self.alpha_last,))
         if len(self.alphas) < 1:
             raise ParameterError("at least one alpha is required")
         if any(a <= -1.0 for a in self.alphas):
@@ -98,6 +107,7 @@ class GenDirichletParams:
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
+        check_finite("generalized Dirichlet parameters", self.alphas + self.betas)
         transforms.ratio_beta_pairs(self.alphas, self.betas)
 
     @property
@@ -119,6 +129,7 @@ class PathwayDimParams:
     zeta: float
 
     def __post_init__(self):
+        check_finite("pathway parameters", (self.a, self.q, self.eta, self.zeta))
         if not self.a > 0.0:
             raise ParameterError("a must be positive")
         if not self.q < 1.0:
@@ -127,6 +138,8 @@ class PathwayDimParams:
             raise ParameterError("eta must be positive")
         if not self.zeta > -1.0:
             raise ParameterError("zeta must exceed -1")
+        # a(1-q) and eta/(1-q) can overflow from finite parameters
+        check_finite("the pathway beta law", self.beta_law)
 
     @property
     def scale_factor(self) -> float:
@@ -180,8 +193,8 @@ def _with_support(values: np.ndarray, inside: np.ndarray, scalar: bool):
 
 def _beta_log_norm(first: float, second: float, c: float) -> float:
     """Log normalizer of Beta(first, second)/c on (0, 1/c)."""
-    return float(first * math.log(c) + gammaln(first + second)
-                 - gammaln(first) - gammaln(second))
+    return (first * math.log(c) + math.lgamma(first + second)
+            - math.lgamma(first) - math.lgamma(second))
 
 
 def _beta_pdf(x, first: float, second: float, c: float = 1.0):
@@ -294,6 +307,9 @@ def _gamma_col(u: np.ndarray, shape: float) -> np.ndarray:
     below 1), and so is the fallback ``gammaincinv(a, reserved)``; below 1
     the draw is boosted by ``U^(1/shape)``.
     """
+    # scipy loads on the first draw, not with the package
+    from scipy.special import gammaincinv, ndtri
+
     a = shape + 1.0 if shape < 1.0 else shape
     d = a - 1.0 / 3.0
     z = ndtri(u[:, 0])

@@ -18,7 +18,8 @@ class ShapeError(EkstatError, ValueError):
 
 
 class SizeError(EkstatError, ValueError):
-    """The requested tensor dimension count exceeds the supported limit."""
+    """A requested size (tensor grid, rule nodes, dimension count) exceeds
+    its supported limit."""
 
 
 class EmptyRequestError(EkstatError, ValueError):

@@ -32,7 +32,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln, loggamma
 
 from .densities import (
     DirichletParams,
@@ -40,6 +39,7 @@ from .densities import (
     PathwayDimParams,
     SampleMatrix,
     _gamma_cols,
+    check_finite,
     gamma_uniform_cols,
 )
 from .errors import (
@@ -50,11 +50,19 @@ from .errors import (
     SizeError,
     UsageError,
 )
-from .quadrature import _EXP_SINH_HI, _EXP_SINH_LO, DEFAULT_NODES, jacobi_rule, semiaxis_log_rule
+from .quadrature import (
+    _EXP_SINH_HI,
+    _EXP_SINH_LO,
+    DEFAULT_NODES,
+    MAX_RULE_NODES,
+    jacobi_rule,
+    semiaxis_log_rule,
+)
 from .streams import map_uniform_rows
 from .transforms import ratio_beta_pairs
 
-# Most tensor nodes one dense evaluation may build: (n nodes per dimension)**k.
+# Most tensor nodes one dense evaluation or Mellin sum may build: (n nodes
+# per dimension)**k.
 # 1 << 22 admits the refined k=3 evaluation at n=64 (128**3 = 2**21).  A
 # density with factors is summed one dimension at a time and builds no grid.
 _MAX_TENSOR_NODES = 1 << 22
@@ -86,6 +94,7 @@ class DimParams:
     alpha: float
 
     def __post_init__(self):
+        check_finite("operator parameters", (self.zeta, self.alpha))
         if not self.alpha > 0.0:
             raise ParameterError("alpha must be positive")
         if not self.zeta > -1.0:
@@ -165,10 +174,24 @@ class OperatorResult:
 # ---------------------------------------------------------------------------
 
 def check_nodes(n: int) -> None:
-    """ParameterError unless ``n`` nodes per dimension are enough."""
+    """ParameterError unless ``n`` nodes per dimension are enough, and
+    SizeError when they are more than one rule may hold
+    (:data:`ekstat.quadrature.MAX_RULE_NODES`); a refined evaluation at n
+    builds rules of 2n nodes."""
     if not n >= _MIN_NODES:
         raise ParameterError(f"operator quadrature needs at least {_MIN_NODES} "
                              f"nodes per dimension, got {n}")
+    if n > MAX_RULE_NODES:
+        raise SizeError(f"operator quadrature takes at most {MAX_RULE_NODES} nodes per "
+                        f"dimension (a refined evaluation at n takes 2n), got {n}")
+
+
+def check_grid(n: int, k: int) -> None:
+    """SizeError when a tensor grid of ``n`` nodes in each of ``k``
+    dimensions is over the node budget."""
+    if n ** k > _MAX_TENSOR_NODES:
+        raise SizeError(f"a tensor grid of {n} nodes in each of {k} dimensions has "
+                        f"{n ** k} nodes, over the budget of {_MAX_TENSOR_NODES}")
 
 
 class _DimQuad:
@@ -206,7 +229,7 @@ class _DimQuad:
         keep_t = second and not z > 0.0
         rule = jacobi_rule(self.n, self.alpha - 1.0, z - 1.0 if second and z > 0.0 else z)
         logw = np.log(rule.weights_unit) - np.log(rule.nodes) if keep_t else np.log(rule.weights_unit)
-        logw = logw + rule.log_mass - gammaln(self.alpha) + self.extra_log
+        logw = logw + rule.log_mass - math.lgamma(self.alpha) + self.extra_log
         logw.setflags(write=False)
         return rule.nodes, logw
 
@@ -232,7 +255,7 @@ class _DimQuad:
         edge, edge_logw, _ = self._split_rules
         lu = math.log(u_eff)
         v_edge = u_eff * (1.0 + edge.nodes)
-        logw_edge = (edge_logw + edge.log_mass - gammaln(a)
+        logw_edge = (edge_logw + edge.log_mass - math.lgamma(a)
                      + (z + a) * lu - (z + a) * np.log(v_edge))
         # tail nodes: v = 2u (1 + e^(w - e^-w)), scaled to the density
         w_hi = max(_EXP_SINH_HI, math.log(350.0 * self.f_scale / u_eff))
@@ -241,7 +264,7 @@ class _DimQuad:
         e = np.exp(w - np.exp(-w))
         v_tail = 2.0 * u_eff * (1.0 + e)
         log_dv = math.log(2.0 * u_eff) + np.log(e) + np.log1p(np.exp(-w)) + math.log(h)
-        logw_tail = (z * lu - gammaln(a) + log_dv
+        logw_tail = (z * lu - math.lgamma(a) + log_dv
                      + (a - 1.0) * np.log(v_tail - u_eff)
                      - (z + a) * np.log(v_tail))
         return (np.concatenate([v_edge, v_tail]),
@@ -257,7 +280,7 @@ class _DimQuad:
         z, a = self.zeta, self.alpha
         edge, edge_logw, (log_x, log_w) = self._split_rules
         lu = math.log(u_eff)
-        base = -(z + a) * lu - gammaln(a)
+        base = -(z + a) * lu - math.lgamma(a)
         keep = log_x < lu - math.log(2.0)
         lv = log_x[keep]
         v_tail = np.exp(lv)
@@ -383,9 +406,8 @@ def eval_many(kind: str, params, f: MultiDensity, points,
         raise ShapeError(f"density dimension {f.dim} != parameter count {k}")
     if points.shape[-1] != k:
         raise ShapeError(f"points must have {k} coordinates")
-    if f.factors is None and n ** k > _MAX_TENSOR_NODES:
-        raise SizeError(f"a tensor grid of {n} nodes in each of {k} dimensions has "
-                        f"{n ** k} nodes, over the budget of {_MAX_TENSOR_NODES}")
+    if f.factors is None:
+        check_grid(n, k)
     plans = [_DimQuad(kind, *_zeta_alpha_c(p), n, f.scale) for p in params]
     rows = points.tolist()
     if f.factors is not None:
@@ -618,7 +640,7 @@ def setup_from_triples(kind: str, triples):
     shift = 1.0 if kind == "second" else 0.0
     dims = tuple(ScaledDimParams(f - shift, s, c) for f, s, c in triples)
     # keep this order of operations: reports depend on the constant bit for bit
-    log_c = float(sum(gammaln(f) - f * math.log(c) - gammaln(f + s) for f, s, c in triples))
+    log_c = sum(math.lgamma(f) - f * math.log(c) - math.lgamma(f + s) for f, s, c in triples)
     return kind, dims, log_c
 
 
@@ -676,11 +698,12 @@ def gamma_product(shapes: Sequence[float], name: str = "") -> MultiDensity:
     pdf per coordinate, on the same log density as the joint ``pdf``.
     """
     shapes = tuple(float(s) for s in shapes)
+    check_finite("gamma shapes", shapes)
     if not shapes or any(s <= 0.0 for s in shapes):
         raise ParameterError("gamma shapes must be positive")
     k = len(shapes)
     arr = np.asarray(shapes)
-    log_norm = gammaln(arr)
+    log_norm = np.array([math.lgamma(s) for s in shapes])
 
     def log_pdf(x: np.ndarray, j) -> np.ndarray:
         """Log density of coordinate ``j`` (an index or a slice) at x > 0."""
@@ -704,6 +727,8 @@ def gamma_product(shapes: Sequence[float], name: str = "") -> MultiDensity:
         return _gamma_cols(u, shapes)
 
     def mellin(s) -> complex:
+        from scipy.special import loggamma  # complex Gamma; scipy loads on the first check
+
         s = np.asarray(s, dtype=complex)
         if s.shape != (k,):
             raise ShapeError(f"Mellin argument must be a {k}-vector")

@@ -22,14 +22,6 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-# The sampling path draws through ``densities`` (fixed-column Marsaglia-Tsang
-# gamma draws, with ``gammaincinv`` only as their fallback) and
-# ``streams.run_rows``; it calls none of ``gammaincinv``,
-# ``beta_from_uniforms`` or ``uniform_block_parallel`` through this module.
-# The names stay importable here because benchmarks/tracing.py patches them
-# by name.
-from scipy.special import gammaincinv  # noqa: F401
-
 from . import transforms
 from .densities import (
     DirichletParams,
@@ -54,6 +46,22 @@ from .kober import (
 )
 from .quadrature import DEFAULT_NODES
 from .streams import run_rows, uniform_block, uniform_block_parallel  # noqa: F401
+
+# The sampling path draws through ``densities`` (fixed-column Marsaglia-Tsang
+# gamma draws, with ``gammaincinv`` only as their fallback) and
+# ``streams.run_rows``; it calls none of ``gammaincinv``,
+# ``beta_from_uniforms`` or ``uniform_block_parallel`` through this module.
+# benchmarks/tracing.py patches those three names here, so they stay
+# reachable: the last two as imports above, and ``gammaincinv`` through
+# ``__getattr__``, so that importing this module does not import scipy.
+
+
+def __getattr__(name: str):
+    if name == "gammaincinv":
+        from scipy.special import gammaincinv
+        return gammaincinv
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 MAX_VERIFY_DIM = 3
 

@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import loggamma
 
 from .errors import ParameterError, PoleError, ShapeError, UsageError
-from .kober import DimParams, MultiDensity, operator_image
+from .kober import DimParams, MultiDensity, check_grid, check_nodes, operator_image
 from .quadrature import DEFAULT_NODES, semiaxis_log_rule
 
 _BASE_GRID = (0.8, 1.5, 2.0, 3.0, 1.5 + 0.5j)
@@ -52,6 +51,7 @@ class MellinResult:
 def _mellin_values(f: MultiDensity, s_points: Sequence[np.ndarray], n: int) -> np.ndarray:
     """Mellin transform of ``f`` at each s-vector, sharing one pdf sweep."""
     k = f.dim
+    check_grid(n, k)
     axes = [semiaxis_log_rule(n, f.tail, math.log(f.scale))] * k
     mesh = np.meshgrid(*[np.exp(lx) for lx, _ in axes], indexing="ij")
     pts = np.stack(mesh, axis=-1)
@@ -103,6 +103,8 @@ def kober_mellin_ratio(kind: str, params: Sequence[DimParams], s) -> complex:
     Second kind: ``prod Gamma(zeta_j + s_j) / Gamma(alpha_j + zeta_j + s_j)``;
     first kind: ``prod Gamma(1 + zeta_j - s_j) / Gamma(1 + alpha_j + zeta_j - s_j)``.
     """
+    from scipy.special import loggamma  # complex Gamma; scipy loads on the first check
+
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     params = tuple(params)
     if s.shape != (len(params),):
@@ -210,6 +212,7 @@ def mellin_factorization_check(
     params = tuple(params)
     if not 0.0 < tol < math.inf:
         raise ParameterError(f"tol must be finite and positive, got {tol}")
+    check_nodes(n)
     if f.mellin is None:
         raise UsageError("the factorization check needs a density with a closed-form Mellin transform")
     if f.dim != len(params):

@@ -4,8 +4,9 @@ The operator kernels in this library carry endpoint factors
 ``(1-t)^edge1 * t^edge0`` with exponents that may approach -1 (weak
 singularities) or grow very large (pathway limits).  Rules are therefore
 built from the Jacobi three-term recurrence by Golub-Welsch
-eigendecomposition, with the weight mass kept in log space: ``weights_unit``
-always sums to 1 and ``exp(log_mass)`` restores the true scale.
+eigendecomposition (``numpy.linalg.eigh`` of the symmetric tridiagonal Jacobi
+matrix), with the weight mass kept in log space: ``weights_unit`` always sums
+to 1 and ``exp(log_mass)`` restores the true scale.
 
 The module also provides double-exponential node layouts for semi-infinite
 integrals (used by the Mellin transform), parameterized by the tail type of
@@ -20,12 +21,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import betaln
 
-from .errors import ParameterError
+from .errors import ParameterError, SizeError
 
 DEFAULT_NODES = 64
+# Largest rule built: the eigenvectors of an n-point rule take n^2 doubles
+# (32 MB at 2048, where eigh takes about 1.5 s on a 2-vCPU VM).
+MAX_RULE_NODES = 2048
 
 # Double-exponential windows, sized so float64 covers both tails.
 _EXP_SINH_LO = -4.45
@@ -62,32 +64,44 @@ class QuadratureRule:
         return self.weights_unit * mass
 
 
-@lru_cache(maxsize=512)
-def _jacobi_rule_cached(n: int, edge1: float, edge0: float) -> QuadratureRule:
-    a, b = edge1, edge0
+def _jacobi_matrix(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and subdiagonal of the symmetric tridiagonal Jacobi matrix of
+    the weight ``(1-x)^a (1+x)^b`` on (-1, 1).  Raises FloatingPointError
+    (or OverflowError) when a coefficient leaves the float range, which
+    ``numpy.linalg.eigh`` would otherwise turn into nan nodes."""
     k = np.arange(n, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    kk = k[1:]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         diag = np.where(
             k == 0,
             (b - a) / (a + b + 2.0),
             (b * b - a * a) / ((2.0 * k + a + b) * (2.0 * k + a + b + 2.0)),
         )
-    kk = np.arange(1, n, dtype=float)
-    off = (
-        4.0 * kk * (kk + a) * (kk + b) * (kk + a + b)
-        / ((2.0 * kk + a + b) ** 2 * (2.0 * kk + a + b + 1.0) * (2.0 * kk + a + b - 1.0))
-    )
-    if n > 1:
-        # k=1 coefficient in cancellation-safe form; the generic expression is
-        # 0/0 when a+b = -1.
-        off[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((a + b + 2.0) ** 2 * (a + b + 3.0))
-    x, vec = eigh_tridiagonal(diag, np.sqrt(off))
+        off = (
+            4.0 * kk * (kk + a) * (kk + b) * (kk + a + b)
+            / ((2.0 * kk + a + b) ** 2 * (2.0 * kk + a + b + 1.0) * (2.0 * kk + a + b - 1.0))
+        )
+        if n > 1:
+            # k=1 coefficient in cancellation-safe form; the generic expression
+            # is 0/0 when a+b = -1.
+            off[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((a + b + 2.0) ** 2 * (a + b + 3.0))
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise FloatingPointError(f"Jacobi recurrence leaves the float range: edge1={a}, edge0={b}")
+    return diag, np.sqrt(off)
+
+
+@lru_cache(maxsize=512)
+def _jacobi_rule_cached(n: int, edge1: float, edge0: float) -> QuadratureRule:
+    diag, sub = _jacobi_matrix(n, edge1, edge0)
+    # eigh reads the lower triangle: the diagonal and the subdiagonal
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(sub, -1))
     nodes = 0.5 * (x + 1.0)
     w = vec[0, :] ** 2
     w = w / w.sum()
     nodes.setflags(write=False)
     w.setflags(write=False)
-    return QuadratureRule(nodes, w, float(betaln(b + 1.0, a + 1.0)))
+    return QuadratureRule(nodes, w, math.lgamma(edge0 + 1.0) + math.lgamma(edge1 + 1.0)
+                          - math.lgamma(edge0 + edge1 + 2.0))
 
 
 def jacobi_rule(n: int, edge1: float, edge0: float) -> QuadratureRule:
@@ -96,13 +110,16 @@ def jacobi_rule(n: int, edge1: float, edge0: float) -> QuadratureRule:
     Parameters
     ----------
     n : int
-        Number of nodes; the rule integrates polynomials of degree
-        ``<= 2n - 1`` exactly against the weight.
+        Number of nodes, at most :data:`MAX_RULE_NODES`; the rule
+        integrates polynomials of degree ``<= 2n - 1`` exactly against the
+        weight.
     edge1, edge0 : float
         Weight exponents at t=1 and t=0; both must exceed -1.
     """
     if n < 1:
         raise ParameterError("rule size must be at least 1")
+    if n > MAX_RULE_NODES:
+        raise SizeError(f"a rule of {n} nodes is over the ceiling of {MAX_RULE_NODES}")
     if edge1 <= -1.0 or edge0 <= -1.0:
         raise ParameterError(
             f"weight exponents must exceed -1, got edge1={edge1}, edge0={edge0}"

@@ -1,10 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ekstat
 import ekstat.cli as cli
+import ekstat.kober as kober
 import ekstat.mc_oracle as mc_oracle
+import ekstat.mellin as mellin
+import ekstat.quadrature as quadrature
 from ekstat.kober import DimParams, gamma_product, kober2_eval
 
 
@@ -374,3 +382,80 @@ class TestExitCodes:
         # an explicit flag takes precedence over the variable
         assert run_cli(["sample", "--family", "gamma:2", "--workers", "2",
                         "--out", str(tmp_path / "s.json")]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("args", [
+        ["eval", "--kind", "second", "--k", "1", "--zeta", "0.5", "--alpha", "inf",
+         "--point", "1"],
+        ["eval", "--kind", "second", "--k", "1", "--zeta", "nan", "--alpha", "0.7",
+         "--point", "1"],
+        ["eval", "--kind", "pathway-second", "--k", "1", "--a", "1", "--q", "0.5",
+         "--eta", "inf", "--zeta", "0", "--point", "1"],
+        ["eval", "--kind", "pathway-first", "--k", "1", "--a", "inf", "--q", "0.5",
+         "--eta", "1", "--zeta", "1", "--point", "1"],
+        ["eval", "--kind", "second", "--k", "1", "--zeta", "0.5", "--alpha", "0.7",
+         "--density", "gamma:inf", "--point", "1"],
+        ["mellin-check", "--kind", "second", "--k", "1", "--zeta", "0.5", "--alpha", "inf"],
+        ["verify", "--theorem", "1.1", "--k", "1", "--zeta", "0.5", "--alpha", "inf"],
+        ["sample", "--family", "beta:inf,3", "--n", "3", "--seed", "1"],
+        ["sample", "--family", "pathway:1,0.5,inf,0", "--n", "3", "--seed", "1"],
+        ["sample", "--family", "pathway:1,-inf,1,0", "--n", "3", "--seed", "1"],
+        # finite parameters whose support factor a(1-q) overflows
+        ["sample", "--family", "pathway:1e308,-1e308,1,0", "--n", "3", "--seed", "1"],
+        ["sample", "--family", "dirichlet:0.5,inf;1", "--n", "3", "--seed", "1"],
+        ["sample", "--family", "gen-dirichlet:0.5,1;1,nan", "--n", "3", "--seed", "1"],
+    ])
+    def test_non_finite_parameter_exits_two(self, args, monkeypatch, capsys):
+        monkeypatch.setattr(mc_oracle, "simulate", _fail("simulate"))
+        assert run_cli(args) == cli.EXIT_USAGE
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_rule_outside_the_float_range_exits_three(self, capsys):
+        code = run_cli(["eval", "--kind", "second", "--k", "1", "--zeta", "1e308",
+                        "--alpha", "1e308", "--point", "1"])
+        assert code == cli.EXIT_NUMERIC
+        assert "float range" in capsys.readouterr().err
+
+
+def _fail(what):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{what} called")
+    return fail
+
+
+class TestNodeCeiling:
+    @pytest.mark.parametrize("args, nodes, message", [
+        (["eval", "--kind", "second", "--k", "1", "--zeta", "0.5", "--alpha", "0.7",
+          "--point", "1"], 100_000_000, "at most 2048 nodes"),
+        # a refined evaluation builds rules of twice the nodes
+        (["eval", "--kind", "first", "--k", "1", "--zeta", "0.5", "--alpha", "0.7",
+          "--point", "1"], 1025, "got 2050"),
+        (["mellin-check", "--kind", "second", "--k", "1", "--zeta", "0.5", "--alpha", "0.7"],
+         100_000_000, "at most 2048 nodes"),
+        # the Mellin sum's n**k grid has the dense evaluation's budget
+        (["mellin-check", "--kind", "second", "--k", "3", "--zeta", "0.5,1,0.8",
+          "--alpha", "0.7,1.3,1.2"], 256, "over the budget"),
+        (["verify", "--theorem", "1.1", "--k", "1"], 100_000_000, "at most 2048 nodes"),
+    ])
+    def test_refused_before_any_rule_is_built(self, args, nodes, message,
+                                              monkeypatch, capsys):
+        monkeypatch.setattr(quadrature, "_jacobi_rule_cached", _fail("rule builder"))
+        for module in (kober, mellin):
+            monkeypatch.setattr(module, "semiaxis_log_rule", _fail("rule builder"))
+        monkeypatch.setattr(mc_oracle, "simulate", _fail("simulate"))
+        assert run_cli([*args, "--nodes", str(nodes)]) == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+
+def test_import_and_eval_leave_scipy_unloaded():
+    # scipy loads on the first draw or Mellin check, not with the package
+    script = ("import sys, ekstat; from ekstat import cli; "
+              "loaded = 'scipy' in sys.modules; "
+              "code = cli.run(['eval', '--kind', 'second', '--k', '1', '--zeta', '0.5', "
+              "'--alpha', '0.7', '--density', 'gamma:2', '--point', '1', '--point', '1e-6']); "
+              "print(loaded, code, 'scipy' in sys.modules)")
+    src = str(Path(ekstat.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert out.stdout.splitlines()[-1] == "False 0 False"

@@ -10,6 +10,7 @@ from ekstat.densities import (
     DirichletParams,
     GenDirichletParams,
     PathwayDimParams,
+    _beta_log_norm,
     _gamma_cols,
     beta1_pdf,
     beta1_sample,
@@ -300,6 +301,19 @@ class TestPathway:
 class TestScaledBetaReferences:
     """The beta, pathway and Dirichlet pdfs against scipy's laws, and the
     generalized Dirichlet against its x-space formula."""
+
+    def test_log_normalizer_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        shapes = (0.01, 0.5, 1.0, 1.7, 41.0, 1e3, 1e5)
+        # c = 1 isolates the log-gamma difference: with c != 1 the term
+        # first*log(c) cancels against it and adds rounding of its own size
+        with mpmath.workdps(40):
+            for first in shapes:
+                for second in shapes:
+                    f, s = mpmath.mpf(first), mpmath.mpf(second)
+                    ref = float(mpmath.loggamma(f + s) - mpmath.loggamma(f) - mpmath.loggamma(s))
+                    got = _beta_log_norm(first, second, 1.0)
+                    assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (first, second)
 
     @pytest.mark.parametrize("first,second", [(2.0, 3.0), (0.4, 0.7), (7.5, 1.3)])
     def test_beta1_pdf_matches_scipy(self, first, second):

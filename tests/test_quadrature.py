@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import betaln, roots_jacobi
 
-from ekstat.errors import ParameterError
-from ekstat.quadrature import jacobi_rule, semiaxis_log_rule
+from ekstat import quadrature
+from ekstat.errors import ParameterError, SizeError
+from ekstat.quadrature import MAX_RULE_NODES, jacobi_rule, semiaxis_log_rule
 
 # exponent pairs drawn from the operator test matrix (alpha-1, zeta-1 style)
 EXPONENT_PAIRS = [
@@ -80,6 +82,45 @@ def test_matches_scipy_reference():
     order = np.argsort(x)
     assert np.allclose(0.5 * (x[order] + 1.0), mine.nodes, rtol=1e-12, atol=1e-14)
     assert np.allclose(w[order] / w.sum(), mine.weights_unit, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 64, 256])
+def test_matches_tridiagonal_solver(n):
+    # numpy's dense eigh against scipy's tridiagonal solver on the same
+    # Jacobi matrix, edge exponents from weak singularities to pathway limits
+    edges = (-0.99, -0.5, 0.0, 0.7, 3.0, 40.0, 400.0)
+    for edge1 in edges:
+        for edge0 in edges:
+            rule = jacobi_rule(n, edge1, edge0)
+            x, vec = eigh_tridiagonal(*quadrature._jacobi_matrix(n, edge1, edge0))
+            w = vec[0, :] ** 2
+            np.testing.assert_allclose(rule.nodes, 0.5 * (x + 1.0), rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(rule.weights_unit, w / w.sum(), rtol=1e-10, atol=1e-16)
+
+
+def test_log_mass_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    edges = (-0.99, -0.5, 0.0, 0.7, 40.0, 1e3, 1e5)
+    with mpmath.workdps(40):
+        for edge1 in edges:
+            for edge0 in edges:
+                ref = float(mpmath.log(mpmath.beta(mpmath.mpf(edge0) + 1, mpmath.mpf(edge1) + 1)))
+                got = jacobi_rule(1, edge1, edge0).log_mass
+                assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (edge1, edge0)
+
+
+def test_recurrence_outside_the_float_range_raises():
+    with pytest.raises(FloatingPointError, match="float range"):
+        jacobi_rule(8, 1e308, 1e308)
+
+
+def test_rule_size_ceiling(monkeypatch):
+    def no_rule(*args):
+        raise AssertionError("rule builder called")
+
+    monkeypatch.setattr(quadrature, "_jacobi_rule_cached", no_rule)
+    with pytest.raises(SizeError, match=f"ceiling of {MAX_RULE_NODES}"):
+        jacobi_rule(MAX_RULE_NODES + 1, 0.0, 0.0)
 
 
 def test_parameter_validation():
