@@ -12,10 +12,11 @@ Per dimension, the kernel is absorbed exactly into a Jacobi weight after
 mapping the integration range to (0,1), so weak endpoint singularities never
 meet a quadrature node.  Two regimes supplement the plain rule so that
 evaluation stays accurate over the whole semi-axis: for the second kind a
-near-field split (evaluation points far below the density's scale), for the
-first kind a far-field split (points far above it).  Both splits pair a
-kernel-edge Jacobi rule with scale-adapted double-exponential nodes and keep
-the total node count per dimension at ``n``.
+near-field split (evaluation points near 0), for the first kind a
+far-field split (points far out on the semi-axis).  Their thresholds are
+absolute; there is no per-density scale.  Both splits pair a kernel-edge
+Jacobi rule with scale-adapted double-exponential nodes and keep the total
+node count per dimension at ``n``.
 
 All scalar prefactors are accumulated in log space; ``predicted_density``
 fuses the operator with the reciprocal of its density constant so that
@@ -73,7 +74,8 @@ _MIN_NODES = 8
 # Largest log prefactor whose exponential is a float.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
-# Regime-switch thresholds, in units of the density's characteristic scale.
+# Regime-switch thresholds, absolute: near field where c*u < _NEAR_FIELD
+# (second kind), far field where u > _FAR_FIELD*c (first kind).
 _NEAR_FIELD = 0.25
 _FAR_FIELD = 100.0
 
@@ -124,8 +126,7 @@ class MultiDensity:
     length ``dim``.
 
     ``tail`` ("exp" or "algebraic") describes the decay at infinity and
-    selects semi-axis node layouts; ``scale`` is the characteristic scale of
-    the density, used by the operator regime switches.
+    selects semi-axis node layouts.
 
     ``factors``, when set, holds ``dim`` one-dimensional pdfs whose product
     is ``pdf``: factor j takes an array of coordinate-j values and returns
@@ -139,7 +140,6 @@ class MultiDensity:
     from_uniforms: Callable[[np.ndarray], np.ndarray] | None = None
     mellin: Callable[[np.ndarray], complex] | None = None
     tail: str = "exp"
-    scale: float = 1.0
     name: str = ""
     factors: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
 
@@ -203,8 +203,7 @@ class _DimQuad:
     pathway support factor a(1-q) (1 for the classical operators).
     """
 
-    def __init__(self, kind: str, zeta: float, alpha: float, c: float,
-                 n: int, f_scale: float):
+    def __init__(self, kind: str, zeta: float, alpha: float, c: float, n: int):
         if kind not in ("second", "first"):
             raise UsageError(f"unknown operator kind {kind!r}")
         if kind == "first" and not zeta > 0.0:
@@ -215,7 +214,6 @@ class _DimQuad:
         self.alpha = float(alpha)
         self.c = float(c)
         self.n = int(n)
-        self.f_scale = float(f_scale)
         # pathway prefactors: c^-zeta (second) or c^-(zeta+1) (first)
         self.extra_log = -(z if kind == "second" else z + 1.0) * math.log(self.c)
 
@@ -239,13 +237,13 @@ class _DimQuad:
         with its log weights, and for the first kind the semi-axis tail."""
         n_edge = self.n // 2 if self.kind == "second" else min(max(4, self.n // 4), self.n - 4)
         edge = jacobi_rule(n_edge, 0.0, self.alpha - 1.0)
-        # node variable is c*v, so the density's scale appears multiplied by c
+        # node variable is c*v, so the layout sits at scale c
         tail = None if self.kind == "second" else semiaxis_log_rule(
-            self.n - n_edge, "exp", math.log(self.c * self.f_scale))
+            self.n - n_edge, "exp", math.log(self.c))
         return edge, np.log(edge.weights_unit), tail
 
     def _near_second(self, u_eff: float):
-        """Second kind for u far below the density scale.
+        """Second kind for c*u below :data:`_NEAR_FIELD`.
 
         Edge part: v in (u, 2u) with the kernel power exact; tail part:
         v in (2u, inf) on scale-adapted nodes with a double-exponentially
@@ -257,8 +255,8 @@ class _DimQuad:
         v_edge = u_eff * (1.0 + edge.nodes)
         logw_edge = (edge_logw + edge.log_mass - math.lgamma(a)
                      + (z + a) * lu - (z + a) * np.log(v_edge))
-        # tail nodes: v = 2u (1 + e^(w - e^-w)), scaled to the density
-        w_hi = max(_EXP_SINH_HI, math.log(350.0 * self.f_scale / u_eff))
+        # tail nodes: v = 2u (1 + e^(w - e^-w)), reaching past v = 350
+        w_hi = max(_EXP_SINH_HI, math.log(350.0 / u_eff))
         w = np.linspace(_EXP_SINH_LO, w_hi, self.n - len(edge.nodes))
         h = w[1] - w[0]
         e = np.exp(w - np.exp(-w))
@@ -271,7 +269,7 @@ class _DimQuad:
                 np.concatenate([logw_edge, logw_tail]) + self.extra_log)
 
     def _far_first(self, u_eff: float):
-        """First kind for u far above the density scale.
+        """First kind for u above :data:`_FAR_FIELD` * c.
 
         Tail part: v in (0, u/2) on scale-adapted semi-axis nodes (the
         kernel is smooth there); edge part: v in (u/2, u) with the kernel
@@ -302,9 +300,9 @@ class _DimQuad:
         # exponents; their log is -inf and drops out of the final sums
         second = self.kind == "second"
         with np.errstate(divide="ignore"):
-            if second and self.c * u < _NEAR_FIELD * self.f_scale:
+            if second and self.c * u < _NEAR_FIELD:
                 return self._near_second(self.c * u)
-            if not second and u > _FAR_FIELD * self.c * self.f_scale:
+            if not second and u > _FAR_FIELD * self.c:
                 return self._far_first(u)
             # plain: v = c*u/t (second kind) or u*t/c (first; nodes on (0, u/c))
             t, logw = self._plain
@@ -408,7 +406,7 @@ def eval_many(kind: str, params, f: MultiDensity, points,
         raise ShapeError(f"points must have {k} coordinates")
     if f.factors is None:
         check_grid(n, k)
-    plans = [_DimQuad(kind, *_zeta_alpha_c(p), n, f.scale) for p in params]
+    plans = [_DimQuad(kind, *_zeta_alpha_c(p), n) for p in params]
     rows = points.tolist()
     if f.factors is not None:
         out = _separable_values(plans, rows, f.factors, log_shift)
@@ -475,8 +473,7 @@ def operator_image(kind: str, params, f: MultiDensity,
         return np.asarray(vals).reshape(pts.shape[:-1])
 
     tail = "exp" if (kind == "second" and f.tail == "exp") else "algebraic"
-    return MultiDensity(dim=k, pdf=pdf, tail=tail, scale=f.scale,
-                        name=f"{kind}-kind image of {f.name or 'f'}")
+    return MultiDensity(dim=k, pdf=pdf, tail=tail, name=f"{kind}-kind image of {f.name or 'f'}")
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +733,7 @@ def gamma_product(shapes: Sequence[float], name: str = "") -> MultiDensity:
 
     return MultiDensity(
         dim=k, pdf=pdf, uniform_cols=gamma_uniform_cols(shapes), from_uniforms=from_uniforms,
-        mellin=mellin, tail="exp", scale=1.0,
+        mellin=mellin, tail="exp",
         name=name or f"gamma-product{shapes}", factors=tuple(map(factor, range(k))),
     )
 

@@ -368,39 +368,31 @@ def _box_average(kind, dims, f, probes, bandwidths, n_nodes, log_shift):
     the prediction must be the matching box average; comparing against the
     center value would re-introduce curvature bias.  Boxes reaching below
     the support boundary u_j = 0 are clipped exactly (the density of u
-    vanishes there) and the average keeps the full box volume.
+    vanishes there) and the average keeps the full box volume; a box
+    entirely below it averages to 0.
     """
     nodes, wts = _GL_BOX
     k = probes.shape[1]
-    boxes, pts = [], []     # (probe index, node weights, mass fraction), nodes
-    for i, p in enumerate(probes):
-        axes, mass_fraction = [], 1.0
-        for j in range(k):
-            lo = max(p[j] - bandwidths[j] / 2.0, 0.0)
-            hi = p[j] + bandwidths[j] / 2.0
-            if hi <= lo:
-                axes = None
-                break
-            mass_fraction *= (hi - lo) / bandwidths[j]
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            axes.append((mid + half * nodes, wts / 2.0))
-        if axes is None:
-            continue
-        mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-        pts.append(np.stack([m.ravel() for m in mesh], axis=-1))
-        wall = axes[0][1]
-        for a in axes[1:]:
-            wall = np.multiply.outer(wall, a[1])
-        boxes.append((i, wall.ravel(), mass_fraction))
+    lo = np.maximum(probes - bandwidths / 2.0, 0.0)
+    hi = probes + bandwidths / 2.0
+    kept = np.all(hi > lo, axis=1)
     out = np.zeros(probes.shape[0])
-    if not boxes:
+    if not kept.any():
         return out
+    lo, hi = lo[kept], hi[kept]
+    mass_fraction = functools.reduce(np.multiply, ((hi - lo) / bandwidths).T)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    axes = mid[..., None] + half[..., None] * nodes         # (boxes, k, 3)
+    # the 3^k tensor rule in C order: node index per axis, weight per point
+    grid = np.indices((len(nodes),) * k).reshape(k, -1).T
+    wall = functools.reduce(np.multiply.outer, [wts / 2.0] * k).ravel()
+    pts = axes[:, np.arange(k), grid]                       # (boxes, 3^k, k)
     # one call for every box: the boxes share their coordinates per
     # dimension, and eval_many sums each distinct coordinate once
-    vals = eval_many(kind, dims, f, np.concatenate(pts), n_nodes, log_shift=log_shift)
-    size = len(nodes) ** k
-    for b, (i, wall, mass_fraction) in enumerate(boxes):
-        out[i] = float(np.dot(wall, vals[b * size:(b + 1) * size])) * mass_fraction
+    vals = eval_many(kind, dims, f, pts.reshape(-1, k), n_nodes, log_shift=log_shift)
+    # vecdot sums each box in np.dot's order (a matrix product does not),
+    # which keeps the reports' predictions bit for bit
+    out[kept] = np.vecdot(vals.reshape(len(pts), -1), wall) * mass_fraction
     return out
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, PoleError, ShapeError, UsageError
-from .kober import DimParams, MultiDensity, check_grid, check_nodes, operator_image
+from .kober import DimParams, MultiDensity, _density_values, check_grid, check_nodes, operator_image
 from .quadrature import DEFAULT_NODES, semiaxis_log_rule
 
 _BASE_GRID = (0.8, 1.5, 2.0, 3.0, 1.5 + 0.5j)
@@ -52,12 +52,10 @@ def _mellin_values(f: MultiDensity, s_points: Sequence[np.ndarray], n: int) -> n
     """Mellin transform of ``f`` at each s-vector, sharing one pdf sweep."""
     k = f.dim
     check_grid(n, k)
-    axes = [semiaxis_log_rule(n, f.tail, math.log(f.scale))] * k
+    axes = [semiaxis_log_rule(n, f.tail)] * k
     mesh = np.meshgrid(*[np.exp(lx) for lx, _ in axes], indexing="ij")
     pts = np.stack(mesh, axis=-1)
-    vals = np.asarray(f.pdf(pts), dtype=float)
-    if vals.shape != pts.shape[:-1]:
-        raise ShapeError("density must return one value per grid point")
+    vals = _density_values(f.pdf, pts, pts.shape[:-1])
     with np.errstate(divide="ignore"):
         log_vals = np.log(np.maximum(vals, 0.0))
     for j, (_, lw) in enumerate(axes):

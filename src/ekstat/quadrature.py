@@ -96,6 +96,12 @@ def _jacobi_rule_cached(n: int, edge1: float, edge0: float) -> QuadratureRule:
     # eigh reads the lower triangle: the diagonal and the subdiagonal
     x, vec = np.linalg.eigh(np.diag(diag) + np.diag(sub, -1))
     nodes = 0.5 * (x + 1.0)
+    # at extreme exponents the nodes crowd an endpoint closer than the
+    # eigenvalues' rounding, and 0.5 * (x + 1) lands on or past it
+    if not (nodes[0] > 0.0 and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0)):
+        raise ParameterError(f"the {n}-node Gauss-Jacobi rule for edge1={edge1}, "
+                             f"edge0={edge0} has nodes that are not strictly increasing "
+                             f"inside (0, 1) in double precision")
     w = vec[0, :] ** 2
     w = w / w.sum()
     nodes.setflags(write=False)

@@ -415,6 +415,12 @@ class TestExitCodes:
         assert code == cli.EXIT_NUMERIC
         assert "float range" in capsys.readouterr().err
 
+    def test_rule_nodes_outside_the_unit_interval_exit_two(self, capsys):
+        code = run_cli(["eval", "--kind", "second", "--k", "1", "--zeta", "0.5",
+                        "--alpha", "1e16", "--point", "1"])
+        assert code == cli.EXIT_USAGE
+        assert "edge1=1e+16" in capsys.readouterr().err
+
 
 def _fail(what):
     def fail(*args, **kwargs):

@@ -137,6 +137,40 @@ class TestFirstKind:
             assert coarse == pytest.approx(fine, rel=1e-10)
 
 
+class TestRegimeThresholds:
+    """The splits start at c*u = 0.25 (second kind) and u = 100*c (first
+    kind), absolute; c = a(1-q) = 1.125 here.  benchmarks/warm.py restates
+    both thresholds."""
+
+    C = 1.125
+
+    def regime(self, monkeypatch, kind, u):
+        plan = kober._DimQuad(kind, 0.8, 1.7, self.C, 64)
+        taken = []
+
+        def spy(name):
+            split = getattr(plan, name)
+
+            def run(u_eff):
+                taken.append(name)
+                return split(u_eff)
+            monkeypatch.setattr(plan, name, run)
+        spy("_near_second")
+        spy("_far_first")
+        plan.nodes_logw(u)
+        return taken[0] if taken else "plain"
+
+    def test_second_kind_near_field(self, monkeypatch):
+        at = 0.25 / self.C
+        assert self.regime(monkeypatch, "second", at * (1.0 - 1e-12)) == "_near_second"
+        assert self.regime(monkeypatch, "second", at * (1.0 + 1e-12)) == "plain"
+
+    def test_first_kind_far_field(self, monkeypatch):
+        at = 100.0 * self.C
+        assert self.regime(monkeypatch, "first", at * (1.0 - 1e-12)) == "plain"
+        assert self.regime(monkeypatch, "first", at * (1.0 + 1e-12)) == "_far_first"
+
+
 class TestPathwayOperators:
     def test_second_kind_reduction(self):
         # a(1-q)=1, eta/(1-q)=alpha-1 collapses to the classical operator

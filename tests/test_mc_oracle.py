@@ -268,17 +268,77 @@ class TestDefaultProbes:
         assert np.array_equal(bw, mc_oracle._BANDWIDTH_FRAC[k] * scale)
 
 
+def _box_average_per_probe(kind, dims, f, probes, bandwidths, n_nodes, log_shift):
+    """Brute-force reference for ``mc_oracle._box_average``: each probe's
+    clipped box, its Gauss-Legendre axes and weight tensor built one probe
+    at a time."""
+    nodes, wts = mc_oracle._GL_BOX
+    k = probes.shape[1]
+    boxes, pts = [], []     # (probe index, node weights, mass fraction), nodes
+    for i, p in enumerate(probes):
+        axes, mass_fraction = [], 1.0
+        for j in range(k):
+            lo = max(p[j] - bandwidths[j] / 2.0, 0.0)
+            hi = p[j] + bandwidths[j] / 2.0
+            if hi <= lo:
+                axes = None
+                break
+            mass_fraction *= (hi - lo) / bandwidths[j]
+            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+            axes.append((mid + half * nodes, wts / 2.0))
+        if axes is None:
+            continue
+        mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+        pts.append(np.stack([m.ravel() for m in mesh], axis=-1))
+        wall = axes[0][1]
+        for a in axes[1:]:
+            wall = np.multiply.outer(wall, a[1])
+        boxes.append((i, wall.ravel(), mass_fraction))
+    out = np.zeros(probes.shape[0])
+    if not boxes:
+        return out
+    vals = eval_many(kind, dims, f, np.concatenate(pts), n_nodes, log_shift=log_shift)
+    size = len(nodes) ** k
+    for b, (i, wall, mass_fraction) in enumerate(boxes):
+        out[i] = float(np.dot(wall, vals[b * size:(b + 1) * size])) * mass_fraction
+    return out
+
+
+def _box_probes(k):
+    """A grid of probes with repeated coordinates, the first row's boxes
+    clipped at 0 and the last probe's box below it entirely, and their
+    box edge lengths."""
+    axis = np.array([0.01, 0.4, 1.1, 2.5])
+    probes = np.stack(np.meshgrid(*[axis] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    return np.vstack([probes, np.full(k, -1.0)]), np.linspace(0.1, 0.3, k)
+
+
 class TestBoxAverage:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("theorem", ["1.3", "2.4"])
+    def test_equals_per_probe_reference(self, theorem, k):
+        spec = make_spec(theorem, k)
+        setups = [identity_setup(theorem, spec.params)]
+        setups += [c.setup() for c in identity_candidates(spec) if c.admissible]
+        probes, bw = _box_probes(k)
+        for kind, dims, log_c in setups:
+            got = mc_oracle._box_average(kind, dims, spec.f, probes, bw, 64, log_c)
+            want = _box_average_per_probe(kind, dims, spec.f, probes, bw, 64, log_c)
+            assert np.array_equal(got, want)
+            assert got[-1] == 0.0 and np.all(got[:-1] > 0.0)
+
+    def test_no_box_above_zero_evaluates_nothing(self, monkeypatch):
+        kind, dims, log_c = identity_setup("1.1", make_spec("1.1", 2).params)
+        monkeypatch.setattr(mc_oracle, "eval_many", None)
+        out = mc_oracle._box_average(kind, dims, mc_oracle.default_density(2),
+                                     np.full((2, 2), -1.0), np.ones(2), 64, log_c)
+        assert np.array_equal(out, np.zeros(2))
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_one_call_equals_one_box_at_a_time(self, monkeypatch, k):
         kind, dims, log_c = identity_setup("1.1", make_spec("1.1", k).params)
         f = mc_oracle.default_density(k)
-        # a grid of probes with repeated coordinates, the first row's boxes
-        # clipped at 0 and the last probe's box below it entirely
-        axis = np.array([0.01, 0.4, 1.1, 2.5])
-        probes = np.stack(np.meshgrid(*[axis] * k, indexing="ij"), axis=-1).reshape(-1, k)
-        probes = np.vstack([probes, np.full(k, -1.0)])
-        bw = np.linspace(0.1, 0.3, k)
+        probes, bw = _box_probes(k)
         calls = []
 
         def counted(*args, **kw):

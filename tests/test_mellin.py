@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ekstat.errors import PoleError, UsageError
+from ekstat.errors import EvaluationError, PoleError, UsageError
 from ekstat.kober import DimParams, MultiDensity, exponential_product, gamma_product
 from ekstat.mellin import (
     default_s_grid,
@@ -54,6 +54,13 @@ class TestMellinNumeric:
         # 200! is about 7.9e374, past the float range
         with pytest.raises(FloatingPointError):
             mellin_numeric(gamma_product((2.0,)), 200.0)
+
+    def test_non_finite_density_raises(self):
+        # the operator path refuses this density the same way
+        f = MultiDensity(dim=1, pdf=lambda x: np.where(x[..., 0] > 5.0, np.nan, np.exp(-x[..., 0])))
+        with pytest.raises(EvaluationError, match="not finite") as info:
+            mellin_numeric(f, 2.0)
+        assert info.value.point[0] > 5.0
 
     def test_refinement_bound_on_smooth_case(self):
         res = mellin_numeric(gamma_product((3.0,)), 1.7)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,16 @@ def test_log_mass_against_mpmath():
 def test_recurrence_outside_the_float_range_raises():
     with pytest.raises(FloatingPointError, match="float range"):
         jacobi_rule(8, 1e308, 1e308)
+
+
+@pytest.mark.parametrize("n, edge1, edge0", [
+    (8, 1e16, 0.5),      # first node exactly 0
+    (64, 1e16, 0.5),     # first node -1.1e-16
+    (8, 0.0, 1e16),      # last node exactly 1
+])
+def test_nodes_that_cannot_be_placed_inside_raise(n, edge1, edge0):
+    with pytest.raises(ParameterError, match=re.escape(f"edge1={edge1}, edge0={edge0}")):
+        jacobi_rule(n, edge1, edge0)
 
 
 def test_rule_size_ceiling(monkeypatch):
