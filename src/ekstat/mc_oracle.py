@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -69,8 +70,6 @@ MAX_VERIFY_DIM = 3
 # bit for bit, and linspace's second level is 0.30000000000000004, not 0.3
 _PROBE_LEVELS = np.linspace(0.1, 0.9, 5)
 _BANDWIDTH_FRAC = {1: 0.02, 2: 0.07, 3: 0.12}
-# memory for the cached per-dimension box indicator rows (one byte per sample)
-_INDICATOR_BYTES = 1 << 26
 
 # pass policy: at least this fraction of probes within 4 SE, none beyond 6
 _PASS_FRACTION = 0.95
@@ -183,13 +182,70 @@ def simulate(spec: TheoremSpec, n: int, seed: int, workers: int = 1) -> SampleMa
 # histogram estimation
 # ---------------------------------------------------------------------------
 
-def histogram_estimate(samples, probes, bandwidths):
+def _sorted_columns(data) -> list[np.ndarray]:
+    """Each column of the (n, k) sample sorted ascending, NaN last."""
+    return [np.sort(data[:, j]) for j in range(data.shape[1])]
+
+
+_SIGN_BIT = 1 << 63
+
+
+def _float_key(x: float) -> int:
+    """Position of ``x`` in the order of the floats: monotone in x, 0 for both zeros."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & (_SIGN_BIT - 1))
+
+
+def _key_float(key: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", key if key >= 0 else -key | _SIGN_BIT))[0]
+
+
+def _box_edges(c: float, r: float) -> tuple[float, float]:
+    """Floats lo, hi such that ``lo <= x <= hi`` holds exactly when
+    ``abs(x - c) <= r`` does, for every float x; (inf, -inf) when no x does.
+
+    fl(x - c) is monotone in x, so the x that qualify form one run of the
+    float order.  Each end of the run is found by bisection over the floats'
+    ordered bit patterns, in at most 64 steps.  Stepping one float at a
+    time from c +- r can take about 2^62 steps: for c = -0.25 and r = 0.25,
+    c + r == 0 and the upper end is 2^-55, past every subnormal.
+    """
+    def inside(key):
+        return abs(_key_float(key) - c) <= r
+
+    start = next((_float_key(x) for x in (c, 0.0) if abs(x - c) <= r), None)
+    if start is None:   # c or r is NaN, r < 0, or c is infinite and r finite
+        return math.inf, -math.inf
+
+    def end(a, b):  # the key of the last qualifying float from a toward b
+        if inside(b):
+            return b
+        while abs(b - a) > 1:
+            m = (a + b) // 2
+            a, b = (m, b) if inside(m) else (a, m)
+        return a
+
+    return (_key_float(end(start, _float_key(-math.inf))),
+            _key_float(end(start, _float_key(math.inf))))
+
+
+def histogram_estimate(samples, probes, bandwidths, *, _sorted_cols=None):
     """Box-kernel density estimates with exact binomial standard errors.
 
     For each probe the estimate is (count inside the axis-aligned box of
     the given full edge lengths) / (n * volume); the standard error is
     sqrt(p(1-p)/n) / volume.  Empty boxes are flagged and get the standard
     error of a single count.
+
+    A row x lies in probe p's box when ``abs(x_j - p_j) <= h_j / 2`` in
+    every dimension j.  Each distinct (j, p_j) becomes float edges with
+    ``lo <= x_j <= hi`` exactly when that test holds (:func:`_box_edges`),
+    so NaN and infinite coordinates are never counted.  At k = 1 a count is
+    two binary searches in the sorted column (``_sorted_cols``, the output
+    of :func:`_sorted_columns`, which ``verify`` shares with
+    :func:`default_probes`; sorted here when absent).  At k >= 2 one pass
+    per distinct first coordinate picks that slab's rows, and each further
+    dimension is tested on the rows kept so far only.
 
     Returns (estimates, standard errors, low-count flags).
     """
@@ -198,25 +254,48 @@ def histogram_estimate(samples, probes, bandwidths):
     h = np.asarray(bandwidths, dtype=float)
     if data.ndim != 2 or probes.shape[1] != data.shape[1] or h.shape != (data.shape[1],):
         raise ShapeError("samples (n,k), probes (P,k) and bandwidths (k,) must agree")
-    n = data.shape[0]
+    n, k = data.shape
     if n < 10_000:
         raise UsageError("histogram estimation needs at least 1e4 samples")
     volume = float(np.prod(h))
-    cols = [np.ascontiguousarray(data[:, j]) for j in range(data.shape[1])]
 
-    # one indicator row per dimension and probe coordinate; a probe's box
-    # is the AND of its k rows, so repeated coordinates cost one pass each
-    @functools.lru_cache(maxsize=max(len(cols), _INDICATOR_BYTES // n))
-    def indicator(j, c):
-        return np.abs(cols[j] - c) <= h[j] / 2.0
+    # edges once per dimension and distinct coordinate; group[i, j] names
+    # probe i's coordinate among dimension j's distinct ones
+    lo, hi = np.empty_like(probes), np.empty_like(probes)
+    group = np.empty(probes.shape, dtype=np.intp)
+    for j in range(k):
+        coords, group[:, j] = np.unique(probes[:, j], return_inverse=True)
+        edges = np.array([_box_edges(float(c), float(h[j] / 2.0)) for c in coords]).reshape(-1, 2)
+        lo[:, j], hi[:, j] = edges[group[:, j]].T
 
-    counts = np.empty(probes.shape[0], dtype=np.int64)
-    both = np.empty(n, dtype=bool)
-    for i, p in enumerate(probes):
-        inside = indicator(0, p[0])
-        for j in range(1, len(cols)):
-            inside = np.logical_and(inside, indicator(j, p[j]), out=both)
-        counts[i] = np.count_nonzero(inside)
+    if k == 1:
+        col = np.sort(data[:, 0]) if _sorted_cols is None else _sorted_cols[0]
+        counts = np.maximum(np.searchsorted(col, hi[:, 0], side="right")
+                            - np.searchsorted(col, lo[:, 0], side="left"), 0)
+    else:
+        counts = np.empty(probes.shape[0], dtype=np.int64)
+
+        def count(cols, idx, j):
+            # cols: dimensions j.. of the sample rows inside dimensions < j
+            # of every box in idx, which share their coordinates there
+            col, later = cols[0], cols[1:]
+            # two masks per level, reused by its boxes: a fresh temporary
+            # per box left about 10 MB more resident at verify's peak
+            inside, below = np.empty(len(col), bool), np.empty(len(col), bool)
+            for g in np.unique(group[idx, j]):
+                sel = idx[group[idx, j] == g]
+                np.greater_equal(col, lo[sel[0], j], out=inside)
+                np.less_equal(col, hi[sel[0], j], out=below)
+                np.logical_and(inside, below, out=inside)
+                if later:
+                    rows = np.flatnonzero(inside)
+                    count([c[rows] for c in later], sel, j + 1)
+                else:
+                    counts[sel] = np.count_nonzero(inside)
+
+        # a contiguous first column: its passes run over every row
+        count([np.ascontiguousarray(data[:, 0])] + [data[:, j] for j in range(1, k)],
+              np.arange(probes.shape[0]), 0)
     phat = counts / n
     low = counts == 0
     phat_se = np.where(low, 1.0 / n, phat)
@@ -224,22 +303,43 @@ def histogram_estimate(samples, probes, bandwidths):
     return phat / volume, se, low
 
 
-def default_probes(samples):
+def _linear_quantiles(col, levels):
+    """``np.quantile(col, levels)`` of a sorted column, for levels in [0, 1],
+    bit for bit: numpy's "linear" rule with its top index bound, its
+    two-sided ``_lerp`` (from b where the weight is at least 0.5) and NaN
+    for a column holding NaN."""
+    n = len(col)
+    virtual = (n - 1) * levels
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    top = virtual >= n - 1
+    prev[top] = nxt[top] = -1
+    a, b = col[prev.astype(np.intp)], col[nxt.astype(np.intp)]
+    t = virtual - prev
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    if np.isnan(col[-1]):
+        out[:] = col[-1]
+    return out
+
+
+def default_probes(samples, *, _sorted_cols=None):
     """Interior probe grid and box bandwidths from sample quantiles.
 
     Probes sit at the 10..90 percent quantiles per dimension (tensor grid);
     bandwidths are a dimension-count-dependent fraction of the central 90
-    percent range.
+    percent range.  The quantiles are ``np.quantile``'s, read off the
+    sorted columns (``_sorted_cols``, as from :func:`_sorted_columns`;
+    sorted here when absent).
     """
     data = samples.data if isinstance(samples, SampleMatrix) else np.asarray(samples, dtype=float)
     k = data.shape[1]
     if k not in _BANDWIDTH_FRAC:
         raise SizeError(f"probe grids support at most {MAX_VERIFY_DIM} dimensions")
-    # quantiles depend on the order statistics alone, so each sorted column
-    # gives the same values as np.quantile over the data, in less time and memory
+    cols = _sorted_columns(data) if _sorted_cols is None else _sorted_cols
     levels = np.concatenate([_PROBE_LEVELS, [0.05, 0.25, 0.75, 0.95]])
-    qs = np.stack([np.quantile(np.sort(data[:, j]), levels, overwrite_input=True)
-                   for j in range(k)], axis=-1)
+    qs = np.stack([_linear_quantiles(col, levels) for col in cols], axis=-1)
     qs, (lo, q25, q75, hi) = qs[:-4], qs[-4:]     # (levels, k), 4 x (k,)
     # robust scale: the central 90% range unless the tails dominate it
     scale = np.minimum(hi - lo, 2.7 * (q75 - q25))
@@ -424,12 +524,14 @@ def verify(
     else:
         n_samples = samples.n
         seed = samples.seed
-    grid, bandwidths = default_probes(samples)
+    # one sort per column serves the probe grid and the k = 1 box counts
+    cols = _sorted_columns(samples.data)
+    grid, bandwidths = default_probes(samples, _sorted_cols=cols)
     probes = grid if probes is None else np.atleast_2d(np.asarray(probes, dtype=float))
     if not np.all((probes > 0.0) & (probes < np.inf)):
         raise ParameterError("probes must be finite and lie in the interior of the positive orthant")
 
-    empirical, se, low = histogram_estimate(samples, probes, bandwidths)
+    empirical, se, low = histogram_estimate(samples, probes, bandwidths, _sorted_cols=cols)
     scored = {}
 
     def score(setup):  # a reading equal to the identity's own is scored once

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, PoleError, ShapeError, UsageError
+from .errors import EvaluationError, ParameterError, PoleError, ShapeError, UsageError
 from .kober import DimParams, MultiDensity, _density_values, check_grid, check_nodes, operator_image
 from .quadrature import DEFAULT_NODES, semiaxis_log_rule
 
@@ -56,8 +56,11 @@ def _mellin_values(f: MultiDensity, s_points: Sequence[np.ndarray], n: int) -> n
     mesh = np.meshgrid(*[np.exp(lx) for lx, _ in axes], indexing="ij")
     pts = np.stack(mesh, axis=-1)
     vals = _density_values(f.pdf, pts, pts.shape[:-1])
+    if (vals < 0.0).any():
+        idx = np.unravel_index(int(np.argmax(vals < 0.0)), vals.shape)
+        raise EvaluationError(f"density is negative at {pts[idx]!r}", point=pts[idx])
     with np.errstate(divide="ignore"):
-        log_vals = np.log(np.maximum(vals, 0.0))
+        log_vals = np.log(vals)
     for j, (_, lw) in enumerate(axes):
         shape = [1] * k
         shape[j] = -1

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -254,18 +255,61 @@ class TestDefaultProbes:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_probes_equal_quantiles_of_the_data(self, k):
-        # sorted columns give np.quantile's values bit for bit, ties included
-        rng = np.random.default_rng(60 + k)
-        data = rng.gamma(2.0, size=(20_001, k))
-        data[:, 0] = np.round(data[:, 0], 1)     # heavily tied column
-        data[::7, -1] = data[0, -1]              # one value repeated
+        # quantiles read off the sorted columns are np.quantile's bit for
+        # bit, ties included, at sizes whose quantile positions fall on
+        # every side of numpy's interpolation weight 0.5
         levels = np.concatenate([mc_oracle._PROBE_LEVELS, [0.05, 0.25, 0.75, 0.95]])
-        qs = np.quantile(data, levels, axis=0)
-        probes, bw = default_probes(data)
-        mesh = np.meshgrid(*[qs[:5, j] for j in range(k)], indexing="ij")
-        assert np.array_equal(probes, np.stack([m.ravel() for m in mesh], axis=-1))
-        scale = np.minimum(qs[8] - qs[5], 2.7 * (qs[7] - qs[6]))
-        assert np.array_equal(bw, mc_oracle._BANDWIDTH_FRAC[k] * scale)
+        for n, jumps in itertools.product((10_000, 10_001, 65_537, 10**6), (False, True)):
+            rng = np.random.default_rng(60 + k + n)
+            data = rng.gamma(2.0, size=(n, k))
+            if jumps:
+                # order statistics far apart at every quantile position, where
+                # numpy's two interpolation formulas round differently
+                steps = rng.uniform(0.0, 1e-3, size=(n, k))
+                rank = np.argsort(np.argsort(levels))[:, None]
+                steps[np.floor((n - 1) * levels).astype(int) + 1] = rng.uniform(
+                    1.0, 10.0, size=(len(levels), k)) * 1e3 ** (rank + 1)
+                data = rng.permuted(np.cumsum(steps, axis=0), axis=0)
+            data[:, 0] = np.round(data[:, 0], 1)     # heavily tied column
+            data[::7, -1] = data[0, -1]              # one value repeated
+            qs = np.quantile(data, levels, axis=0)
+            probes, bw = default_probes(data)
+            mesh = np.meshgrid(*[qs[:5, j] for j in range(k)], indexing="ij")
+            assert np.array_equal(probes, np.stack([m.ravel() for m in mesh], axis=-1)), n
+            scale = np.minimum(qs[8] - qs[5], 2.7 * (qs[7] - qs[6]))
+            assert np.array_equal(bw, mc_oracle._BANDWIDTH_FRAC[k] * scale), n
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_samples_match_quantiles(self, n):
+        # with one row every level sits on numpy's top index bound
+        data = np.arange(1.0, n + 1.0)[:, None] ** 1.5
+        probes, _ = default_probes(data)
+        assert np.array_equal(probes[:, 0], np.quantile(data[:, 0], mc_oracle._PROBE_LEVELS))
+
+
+class TestBoxEdges:
+    @pytest.mark.parametrize("c, r", [
+        (0.1, 0.25), (-0.25, 0.25), (0.3, 0.1), (1e-300, 1e-300), (-7.3, 1e-3),
+        (0.0, 0.0), (2.5, 1e308), (1e308, 1e308),
+    ])
+    def test_edges_are_the_last_floats_inside(self, c, r):
+        # c = -0.25, r = 0.25 puts hi at 2^-55, about 2^62 floats above
+        # c + r = 0
+        lo, hi = mc_oracle._box_edges(c, r)
+        inside = lambda x: abs(x - c) <= r
+        assert inside(lo) and inside(hi)
+        assert lo == -math.inf or not inside(math.nextafter(lo, -math.inf))
+        assert hi == math.inf or not inside(math.nextafter(hi, math.inf))
+
+    @pytest.mark.parametrize("c, r", [(math.nan, 1.0), (1.0, math.nan), (1.0, -0.5),
+                                      (math.inf, 1.0), (-math.inf, 1e308)])
+    def test_nothing_inside_gives_an_empty_range(self, c, r):
+        assert mc_oracle._box_edges(c, r) == (math.inf, -math.inf)
+
+    def test_infinite_radius(self):
+        assert mc_oracle._box_edges(1.0, math.inf) == (-math.inf, math.inf)
+        # inf - inf is NaN, so x = inf is outside a box centred at inf
+        assert mc_oracle._box_edges(math.inf, math.inf) == (-math.inf, np.finfo(float).max)
 
 
 def _box_average_per_probe(kind, dims, f, probes, bandwidths, n_nodes, log_shift):

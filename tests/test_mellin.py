@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ekstat import mellin
 from ekstat.errors import EvaluationError, PoleError, UsageError
 from ekstat.kober import DimParams, MultiDensity, exponential_product, gamma_product
 from ekstat.mellin import (
@@ -61,6 +62,17 @@ class TestMellinNumeric:
         with pytest.raises(EvaluationError, match="not finite") as info:
             mellin_numeric(f, 2.0)
         assert info.value.point[0] > 5.0
+
+    @pytest.mark.parametrize("negative_beyond", [0.0, 5.0])
+    def test_negative_density_raises(self, negative_beyond):
+        # clamping the negative values to 0 reported -exp(-x) as 0j, converged
+        f = MultiDensity(dim=1, pdf=lambda x: np.where(x[..., 0] > negative_beyond, -1.0, 1.0)
+                         * np.exp(-x[..., 0]))
+        with pytest.raises(EvaluationError, match="negative") as info:
+            mellin_numeric(f, 2.0)
+        assert info.value.point[0] > negative_beyond
+        nodes = np.exp(mellin.semiaxis_log_rule(mellin.DEFAULT_NODES, f.tail)[0])
+        assert info.value.point[0] == nodes[nodes > negative_beyond][0]
 
     def test_refinement_bound_on_smooth_case(self):
         res = mellin_numeric(gamma_product((3.0,)), 1.7)
