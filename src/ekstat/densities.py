@@ -19,7 +19,7 @@ and differently chunked runs reproduce the single-worker draws exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -164,14 +164,23 @@ class PathwayDimParams:
 
 @dataclass(frozen=True)
 class SampleMatrix:
-    """Sample rows together with the seed that generated them."""
+    """Sample rows together with the seed that generated them.
+
+    ``data`` is a read-only view of the rows (the array passed in stays
+    writable), so what :func:`ekstat.mc_oracle.verify` keeps of the sample
+    in ``_memo`` cannot go stale through this object.
+    """
 
     data: np.ndarray
     seed: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.data.ndim != 2:
+        data = np.asarray(self.data, dtype=float).view()
+        if data.ndim != 2:
             raise ShapeError("sample data must be a 2-D (n, k) array")
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     @property
     def n(self) -> int:

@@ -496,6 +496,36 @@ def _box_average(kind, dims, f, probes, bandwidths, n_nodes, log_shift):
     return out
 
 
+def _sample_counts(samples: SampleMatrix, probes):
+    """(probes, bandwidths, box counts) for ``verify``: the part that depends
+    on the sample alone.
+
+    The first call sorts the columns, once for the probe grid and the k = 1
+    counts, and keeps the default grid and bandwidths on ``samples._memo``;
+    the counts at that grid are kept the first time ``probes`` is None.  A
+    negative control on the same draws then only scores its predictions.
+    User ``probes`` are counted per call.  Nothing n-sized is kept.
+    """
+    memo = samples._memo
+    cols = None
+    if "grid" not in memo:
+        cols = _sorted_columns(samples.data)
+        for j, col in enumerate(cols):
+            if np.isnan(col[-1]):     # NaN sorts last
+                raise ParameterError(f"sample column {j} holds "
+                                     f"{len(col) - np.searchsorted(col, np.nan)} NaN rows")
+        memo["grid"], memo["bandwidths"] = default_probes(samples, _sorted_cols=cols)
+    grid, bandwidths = memo["grid"], memo["bandwidths"]
+    points = grid if probes is None else np.atleast_2d(np.asarray(probes, dtype=float))
+    if not np.all((points > 0.0) & (points < np.inf)):
+        raise ParameterError("probes must be finite and lie in the interior of the positive orthant")
+    if probes is not None:
+        return points, bandwidths, histogram_estimate(samples, points, bandwidths, _sorted_cols=cols)
+    if "counts" not in memo:
+        memo["counts"] = histogram_estimate(samples, grid, bandwidths, _sorted_cols=cols)
+    return grid, bandwidths, memo["counts"]
+
+
 def verify(
     spec: TheoremSpec,
     probes=None,
@@ -510,9 +540,12 @@ def verify(
 
     ``constant_scale`` multiplies the density constant (a value other than
     1 is a deliberate corruption for negative-control checks).  ``samples``
-    may carry a pre-simulated :class:`SampleMatrix` to reuse draws across
-    policy variations.  Box bandwidths always come from
-    :func:`default_probes`, also for user ``probes``.
+    may carry a pre-simulated :class:`SampleMatrix` (with ``spec.k``
+    coordinates and no NaN) to reuse draws across policy variations: its
+    probe grid, bandwidths and box counts are computed once per sample and
+    kept on it, so a later call on the same object only scores predictions.
+    Box bandwidths always come from :func:`default_probes`, also for user
+    ``probes``, whose boxes are counted per call.
     """
     if spec.k > MAX_VERIFY_DIM:
         raise SizeError(f"verification supports at most {MAX_VERIFY_DIM} dimensions")
@@ -522,16 +555,12 @@ def verify(
     if samples is None:
         samples = simulate(spec, n_samples, seed, workers)
     else:
+        if samples.dim != spec.k:
+            raise ShapeError(f"samples have {samples.dim} coordinates but identity "
+                             f"{spec.theorem} is set up for k = {spec.k}")
         n_samples = samples.n
         seed = samples.seed
-    # one sort per column serves the probe grid and the k = 1 box counts
-    cols = _sorted_columns(samples.data)
-    grid, bandwidths = default_probes(samples, _sorted_cols=cols)
-    probes = grid if probes is None else np.atleast_2d(np.asarray(probes, dtype=float))
-    if not np.all((probes > 0.0) & (probes < np.inf)):
-        raise ParameterError("probes must be finite and lie in the interior of the positive orthant")
-
-    empirical, se, low = histogram_estimate(samples, probes, bandwidths, _sorted_cols=cols)
+    probes, bandwidths, (empirical, se, low) = _sample_counts(samples, probes)
     scored = {}
 
     def score(setup):  # a reading equal to the identity's own is scored once

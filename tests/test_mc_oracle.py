@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 import ekstat.mc_oracle as mc_oracle
+from ekstat.densities import SampleMatrix
 from ekstat.errors import ParameterError, ShapeError, SizeError, UsageError
 from ekstat.kober import (
     IDENTITY_IDS,
@@ -26,6 +27,7 @@ from ekstat.mc_oracle import (
     simulate_parts,
     verify,
 )
+from ekstat.reporting import dumps_json
 from ekstat.transforms import forward
 
 
@@ -186,6 +188,85 @@ class TestVerify:
     def test_parameters_of_another_family_rejected(self):
         with pytest.raises(UsageError):
             make_spec("1.1", 1, params=make_spec("1.2", 1).params)
+
+
+class TestSampleCounts:
+    """What ``verify`` computes from the sample alone is kept on the
+    SampleMatrix and reused by later calls on the same object."""
+
+    @pytest.mark.parametrize("theorem,k", [("1.1", 1), ("2.4", 2), ("1.2", 3)])
+    def test_reused_counts_write_the_fresh_reports(self, theorem, k):
+        spec = make_spec(theorem, k)
+        samples = simulate(spec, 10**5, seed=71)
+        calls = [{}, {"constant_scale": 1.25}, {},
+                 {"probes": [[0.5] * k, [1.0] * k, [1.5] * k]}, {}]
+        for kwargs in calls:
+            fresh = SampleMatrix(samples.data, samples.seed)
+            assert (dumps_json(verify(spec, samples=samples, **kwargs).to_dict())
+                    == dumps_json(verify(spec, samples=fresh, **kwargs).to_dict())), kwargs
+
+    def test_sample_stages_run_once(self, monkeypatch):
+        calls = dict.fromkeys(("_sorted_columns", "default_probes", "histogram_estimate"), 0)
+
+        def counted(name):
+            inner = getattr(mc_oracle, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(mc_oracle, name, counted(name))
+        spec = make_spec("1.3", 2)
+        samples = simulate(spec, 2 * 10**4, seed=72)
+        verify(spec, samples=samples)
+        assert calls == dict.fromkeys(calls, 1)
+        verify(spec, samples=samples, constant_scale=1.25)
+        verify(spec, samples=samples)
+        assert calls == dict.fromkeys(calls, 1)
+        verify(spec, samples=samples, probes=[[0.5, 0.5]])   # user probes count per call
+        assert calls == {"_sorted_columns": 1, "default_probes": 1, "histogram_estimate": 2}
+        verify(spec, samples=samples)
+        assert calls["histogram_estimate"] == 2
+
+    def test_rows_are_read_only(self):
+        data = np.full((4, 2), 0.5)
+        samples = SampleMatrix(data, 0)
+        with pytest.raises(ValueError):
+            samples.data[0, 0] = 1.0
+        data[0, 0] = 1.0     # the caller's array stays writable
+        assert samples.data[0, 0] == 1.0
+
+    def test_nested_lists_are_coerced(self):
+        samples = SampleMatrix([[1.0], [2.0]], 1)
+        assert samples.data.dtype == float and (samples.n, samples.dim) == (2, 1)
+        with pytest.raises(ShapeError):
+            SampleMatrix([1.0, 2.0], 1)
+
+    @pytest.mark.parametrize("probes", [None, [[0.5], [1.0]]])
+    def test_nan_rows_raise(self, probes):
+        spec = make_spec("1.1", 1)
+        data = simulate(spec, 2 * 10**4, seed=73).data.copy()
+        data[::4000] = np.nan
+        with pytest.raises(ParameterError, match="column 0 holds 5 NaN rows"):
+            verify(spec, samples=SampleMatrix(data, 73), probes=probes)
+
+    def test_infinite_rows_are_not_counted(self):
+        spec = make_spec("1.1", 1)
+        data = simulate(spec, 2 * 10**4, seed=74).data.copy()
+        data[:3] = np.inf
+        report = verify(spec, samples=SampleMatrix(data, 74))
+        assert np.all(np.isfinite(report.bandwidths)) and np.all(np.isfinite(report.z))
+
+    def test_dimension_mismatch_raises_before_sorting(self, monkeypatch):
+        def no_sort(*args, **kwargs):
+            raise AssertionError("columns sorted")
+
+        monkeypatch.setattr(mc_oracle, "_sorted_columns", no_sort)
+        samples = simulate(make_spec("1.1", 2), 2 * 10**4, seed=75)
+        with pytest.raises(ShapeError, match="samples have 2 coordinates .* k = 1"):
+            verify(make_spec("1.1", 1), samples=samples)
 
 
 class TestAdjudication:
