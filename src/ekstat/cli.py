@@ -103,17 +103,23 @@ def _flags_error(what, family, used) -> UsageError:
 _IDENTITY_FLAGS = {name: rec.family for rec in IDENTITIES.values() for name in rec.family.fields}
 
 
+# parameter fields that may be left out when the others of their family are given
+_FIELD_DEFAULTS = {"alpha_last": 1.0}
+
+
 def _identity_params(cfg, given):
     """The identity's mixing parameters from its own family's flags, or
-    None (the identity's defaults) when no parameter flag was given."""
+    None (the identity's defaults) when no parameter flag was given.  A
+    field left out takes its :data:`_FIELD_DEFAULTS` value, which ``cfg``
+    then holds, so the report's config echoes it."""
     family = identity_record(cfg["theorem"]).family
     used = given & _IDENTITY_FLAGS.keys()
     if not used:
         return None
-    # a field with a built-in default (alpha_last) may be left out
-    if not used <= set(family.fields) or any(n not in given and n not in _DEFAULTS
-                                             for n in family.fields):
+    missing = [n for n in family.fields if n not in given]
+    if not used <= set(family.fields) or any(n not in _FIELD_DEFAULTS for n in missing):
         raise _flags_error(f"identity {cfg['theorem']}", family, used)
+    cfg.update((n, _FIELD_DEFAULTS[n]) for n in missing)
     return _family_params(cfg, family)
 
 
@@ -261,7 +267,6 @@ _DEFAULTS = {
     "n": 1000,
     "tol": 1e-6,
     "constant_scale": 1.0,
-    "alpha_last": 1.0,
 }
 
 
@@ -288,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     for name in dict.fromkeys(CLASSICAL.fields + PATHWAY.fields):
         p.add_argument(_flag(name))
-    p.add_argument("--density", default="gamma:2")
+    p.add_argument("--density", help="gamma:<shapes> or exp (default gamma:2,3,...)")
     p.add_argument("--point", action="append", required=True,
                    help="comma-separated coordinates; repeatable")
     _add_common(p)
@@ -298,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--zeta", required=True)
     p.add_argument("--alpha", required=True)
-    p.add_argument("--density", default=None)
+    p.add_argument("--density", help="gamma:<shapes> or exp (default gamma:2,3,...)")
     p.add_argument("--tol", type=float)
     _add_common(p)
 
@@ -407,8 +412,8 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         cfg, given = resolve_config(args, parser)
-        if cfg.get("command") == "mellin-check" and not cfg.get("density"):
-            cfg["density"] = "gamma:" + ",".join(["2"] + [str(2 + j) for j in range(1, cfg["k"])])
+        if cfg["command"] in ("eval", "mellin-check") and not cfg.get("density"):
+            cfg["density"] = "gamma:" + ",".join(str(2 + j) for j in range(cfg["k"]))
         return _COMMANDS[args.command](cfg, given)
     except KeyError as exc:
         print(f"error: missing required option {exc}", file=sys.stderr)

@@ -46,11 +46,11 @@ from .kober import (
     setup_from_triples,
 )
 from .quadrature import DEFAULT_NODES
-from .streams import run_rows, uniform_block, uniform_block_parallel  # noqa: F401
+from .streams import map_uniform_rows, uniform_block_parallel  # noqa: F401
 
-# The sampling path draws through ``densities`` (fixed-column Marsaglia-Tsang
+# ``simulate`` draws through ``densities`` (fixed-column Marsaglia-Tsang
 # gamma draws, with ``gammaincinv`` only as their fallback) and
-# ``streams.run_rows``; it calls none of ``gammaincinv``,
+# ``streams.map_uniform_rows``; it calls none of ``gammaincinv``,
 # ``beta_from_uniforms`` or ``uniform_block_parallel`` through this module.
 # benchmarks/tracing.py patches those three names here, so they stay
 # reachable: the last two as imports above, and ``gammaincinv`` through
@@ -133,14 +133,15 @@ def make_spec(theorem: str, k: int, params=None, f: MultiDensity | None = None) 
 # simulation
 # ---------------------------------------------------------------------------
 
-def simulate_parts(spec: TheoremSpec, n: int, seed: int, workers: int = 1) -> dict:
-    """Draw all intermediate stages of the identity's construction.
+def simulate(spec: TheoremSpec, n: int, seed: int, workers: int = 1) -> SampleMatrix:
+    """Draws of the combined vector u, exactly per the identity's construction.
 
-    Returns a dict with the mixing vector ``x``, the ratio coordinates
-    ``y`` (identical to x for the independent families), the f-draws ``v``
-    and the combined vector ``u``.  The betas drawn for a triangular
-    identity are the ratio coordinates of x.  Every stage is row-wise, so
-    each row range runs the whole construction on its own uniforms.
+    Each row's uniforms feed the mixing vector x (its first columns) and
+    the f-draw v (the rest).  The ratio coordinates y are x, or the
+    triangular map of x for a triangular identity, whose betas are drawn
+    as the ratio coordinates of x; u is y * v (second kind) or v / y
+    (first kind).  Every stage is row-wise, so each row range runs the
+    whole construction on its own uniforms.
     """
     if spec.f.from_uniforms is None or spec.f.uniform_cols is None:
         raise UsageError("the identity's density f carries no sampler")
@@ -149,33 +150,19 @@ def simulate_parts(spec: TheoremSpec, n: int, seed: int, workers: int = 1) -> di
     triples = None if dirichlet else rec.beta(spec.params).triples
     cols_x = gamma_uniform_cols(dirichlet_shapes(spec.params) if dirichlet
                                 else beta_shapes(triples))
-    x, v, u = (np.empty((max(n, 0), spec.k)) for _ in range(3))
-    y = np.empty_like(x) if rec.triangular else x
 
-    def fill(start, count):
-        rows = slice(start, start + count)
-        block = uniform_block(seed, n, cols_x + spec.f.uniform_cols, start, count)
-        ux, uf = block[:, :cols_x], block[:, cols_x:]
-        v[rows] = spec.f.from_uniforms(uf)
+    def rows(block):
+        v = spec.f.from_uniforms(block[:, cols_x:])
         if dirichlet:
-            x[rows] = dirichlet_from_uniforms(ux, spec.params)
+            x = dirichlet_from_uniforms(block[:, :cols_x], spec.params)
         else:
-            betas = beta_product_from_uniforms(ux, triples)
-            x[rows] = transforms.inverse(betas) if rec.triangular else betas
-        if rec.triangular:
-            y[rows] = transforms.forward(x[rows])
-        if rec.kind == "second":
-            np.multiply(y[rows], v[rows], out=u[rows])
-        else:
-            np.divide(v[rows], y[rows], out=u[rows])
+            x = beta_product_from_uniforms(block[:, :cols_x], triples)
+            x = transforms.inverse(x) if rec.triangular else x
+        y = transforms.forward(x) if rec.triangular else x
+        return y * v if rec.kind == "second" else v / y
 
-    run_rows(fill, n, workers)
-    return {"x": x, "y": y, "v": v, "u": u}
-
-
-def simulate(spec: TheoremSpec, n: int, seed: int, workers: int = 1) -> SampleMatrix:
-    """Draws of the combined vector u, exactly per the identity's construction."""
-    return SampleMatrix(simulate_parts(spec, n, seed, workers)["u"], seed)
+    return SampleMatrix(map_uniform_rows(rows, seed, n, cols_x + spec.f.uniform_cols,
+                                         spec.k, workers), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +216,11 @@ def _box_edges(c: float, r: float) -> tuple[float, float]:
             _key_float(end(start, _float_key(math.inf))))
 
 
+def _check_rows(n: int) -> None:
+    if n < 10_000:
+        raise UsageError("histogram estimation needs at least 1e4 samples")
+
+
 def histogram_estimate(samples, probes, bandwidths, *, _sorted_cols=None):
     """Box-kernel density estimates with exact binomial standard errors.
 
@@ -255,8 +247,7 @@ def histogram_estimate(samples, probes, bandwidths, *, _sorted_cols=None):
     if data.ndim != 2 or probes.shape[1] != data.shape[1] or h.shape != (data.shape[1],):
         raise ShapeError("samples (n,k), probes (P,k) and bandwidths (k,) must agree")
     n, k = data.shape
-    if n < 10_000:
-        raise UsageError("histogram estimation needs at least 1e4 samples")
+    _check_rows(n)
     volume = float(np.prod(h))
 
     # edges once per dimension and distinct coordinate; group[i, j] names
@@ -506,6 +497,7 @@ def _sample_counts(samples: SampleMatrix, probes):
     negative control on the same draws then only scores its predictions.
     User ``probes`` are counted per call.  Nothing n-sized is kept.
     """
+    _check_rows(samples.n)
     memo = samples._memo
     cols = None
     if "grid" not in memo:

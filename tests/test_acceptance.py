@@ -15,7 +15,7 @@ from scipy.special import betaln
 
 from ekstat.densities import PathwayDimParams, pathway_factor, pathway_limit_factor
 from ekstat.kober import DimParams, gamma_product, identity_setup, predicted_density
-from ekstat.mc_oracle import make_spec, simulate, simulate_parts, verify
+from ekstat.mc_oracle import make_spec, simulate, verify
 from ekstat.mellin import mellin_factorization_check
 from ekstat.quadrature import jacobi_rule, semiaxis_log_rule
 from ekstat.transforms import forward, inverse, jacobian, ratio_beta_pairs
@@ -122,17 +122,18 @@ def test_criterion_03_density_identities_classical(mc_matrix):
     )
 
 
-def test_criterion_04_dirichlet_identities_with_ks(mc_matrix):
+def test_criterion_04_dirichlet_identities_with_ks(mc_matrix, unit_mass):
     ok_12, detail_12 = matrix_ok(mc_matrix, "1.2")
     ok_13, detail_13 = matrix_ok(mc_matrix, "1.3")
-    # per-coordinate KS of the ratio coordinates against the derived laws
+    # per-coordinate KS of the ratio coordinates against the derived laws:
+    # with a unit-mass f, u of these product identities is y
     worst_p = 1.0
     for theorem in ("1.2", "1.3"):
-        spec = make_spec(theorem, 2)
-        parts = simulate_parts(spec, 10**5, seed=404)
+        spec = make_spec(theorem, 2, f=unit_mass(2))
+        y = simulate(spec, 10**5, seed=404).data
         pairs = ratio_beta_pairs(spec.params.alphas, spec.params.betas)
         for j, (first, second) in enumerate(pairs):
-            p = stats.kstest(parts["y"][:, j], stats.beta(first, second).cdf).pvalue
+            p = stats.kstest(y[:, j], stats.beta(first, second).cdf).pvalue
             worst_p = min(worst_p, p)
     ok = ok_12 and ok_13 and worst_p > 1e-3
     announce(

@@ -44,6 +44,23 @@ class TestEval:
         assert got["value"] == pytest.approx(want.value, rel=1e-15)
         assert doc["config"]["nodes"] == 64
 
+    @pytest.mark.parametrize("k, zeta, alpha, point, density", [
+        (1, "0.5", "1.5", "1.0", "gamma:2"),
+        (2, "0.5,1.0", "1.5,0.7", "1.0,1.0", "gamma:2,3"),
+    ])
+    def test_density_defaults_to_one_shape_per_dimension(self, k, zeta, alpha, point,
+                                                          density, tmp_path):
+        out = tmp_path / "eval.json"
+        code = run_cli(["eval", "--kind", "second", "--k", str(k), "--zeta", zeta,
+                        "--alpha", alpha, "--point", point, "--out", str(out)])
+        assert code == cli.EXIT_OK
+        doc = read_report(out)
+        assert doc["config"]["density"] == density
+        assert "alpha_last" not in doc["config"]
+        dims = [DimParams(0.5, 1.5), DimParams(1.0, 0.7)][:k]
+        want = kober2_eval(np.ones(k), dims, gamma_product((2.0, 3.0)[:k]))
+        assert doc["result"]["evaluations"][0]["value"] == want.value
+
     def test_pathway_eval(self, tmp_path):
         out = tmp_path / "eval.json"
         code = run_cli([
@@ -259,9 +276,20 @@ class TestVerify:
             "--samples", "20000", "--seed", "3", "--out", str(out),
         ])
         assert code in (cli.EXIT_OK, cli.EXIT_FAIL)
-        params = read_report(out)["result"]["params"]
+        doc = read_report(out)
+        params = doc["result"]["params"]
         assert params["alphas"] == [0.25]
         assert params["alpha_last"] == 1.0
+        assert doc["config"]["alpha_last"] == 1.0
+
+    def test_default_parameters_echo_no_alpha_last(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = run_cli(["verify", "--theorem", "1.2", "--k", "1", "--samples", "20000",
+                        "--seed", "3", "--out", str(out)])
+        assert code in (cli.EXIT_OK, cli.EXIT_FAIL)
+        doc = read_report(out)
+        assert "alpha_last" not in doc["config"]
+        assert doc["result"]["params"]["alpha_last"] == 2.0
 
 
 class TestSample:
@@ -303,6 +331,18 @@ class TestConfigLayering:
         doc = read_report(out)
         assert doc["config"]["samples"] == 100000  # from config file
         assert doc["config"]["seed"] == 42         # flag wins
+
+    def test_config_density_beats_the_default(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"density": "gamma:3"}))
+        out = tmp_path / "eval.json"
+        code = run_cli(["eval", "--kind", "second", "--k", "1", "--zeta", "0.5", "--alpha", "1.5",
+                        "--point", "1.0", "--config", str(cfg), "--out", str(out)])
+        assert code == cli.EXIT_OK
+        doc = read_report(out)
+        assert doc["config"]["density"] == "gamma:3"
+        want = kober2_eval(np.array([1.0]), [DimParams(0.5, 1.5)], gamma_product((3.0,)))
+        assert doc["result"]["evaluations"][0]["value"] == want.value
 
     @pytest.mark.parametrize("command, key, value", [
         (["mellin-check", "--kind", "second", "--k", "1", "--zeta", "0.5", "--alpha", "0.7"],

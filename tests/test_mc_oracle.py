@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,16 +21,16 @@ from ekstat.kober import (
     identity_setup,
 )
 from ekstat.mc_oracle import (
+    default_density,
     default_probes,
     histogram_estimate,
     identity_candidates,
     make_spec,
     simulate,
-    simulate_parts,
     verify,
 )
 from ekstat.reporting import dumps_json
-from ekstat.transforms import forward
+from ekstat.transforms import inverse
 
 
 class TestSimulate:
@@ -40,10 +42,11 @@ class TestSimulate:
         se = math.sqrt(u.var() / n)
         assert abs(u.mean() - 0.5) < 4.0 * se
 
-    def test_ratio_construction_dominates_numerator(self):
-        spec = make_spec("2.1", 1)
-        parts = simulate_parts(spec, 10**4, seed=3)
-        assert np.all(parts["u"][:, 0] >= parts["v"][:, 0])
+    def test_ratio_construction_dominates_numerator(self, unit_mass):
+        # u = v / y with y in (0, 1]: for v = 1, u = 1 / y
+        spec = make_spec("2.1", 1, f=unit_mass(1))
+        u = simulate(spec, 10**4, seed=3).data
+        assert np.all(u >= 1.0)
 
     def test_seed_determinism(self):
         spec = make_spec("1.2", 2)
@@ -61,11 +64,39 @@ class TestSimulate:
                 many = simulate(spec, 6000, seed=11, workers=3).data
                 assert np.array_equal(one, many), (theorem, k)
 
-    def test_triangular_constructions_route_through_the_map(self):
-        spec = make_spec("1.3", 2)
-        parts = simulate_parts(spec, 10**4, seed=7)
-        assert np.allclose(parts["y"], forward(parts["x"]), atol=1e-12)
-        assert np.allclose(parts["u"], parts["y"] * parts["v"])
+    def test_triangular_constructions_route_through_the_map(self, unit_mass):
+        # the second ratio coordinate follows its beta law; the simplex
+        # coordinate it is mapped from (reference draws from scipy) does not
+        spec = make_spec("1.3", 2, f=unit_mass(2))
+        triples = identity_record("1.3").beta(spec.params).triples
+        y = simulate(spec, 10**4, seed=7).data
+        rng = np.random.default_rng(7)
+        x_ref = inverse(np.stack([rng.beta(a, b, 10**4) for a, b, _ in triples], axis=-1))
+        assert stats.kstest(y[:, 1], stats.beta(*triples[1][:2]).cdf).pvalue > 1e-3
+        assert stats.ks_2samp(y[:, 1], x_ref[:, 1]).pvalue < 1e-6
+        # and u is y times the f-draws of the same rows
+        f, draws = default_density(2), []
+
+        def recorded(block):
+            draws.append(f.from_uniforms(block))
+            return draws[-1]
+
+        u = simulate(make_spec("1.3", 2, f=dataclasses.replace(f, from_uniforms=recorded)),
+                     10**4, seed=7).data
+        assert np.allclose(u, y * np.concatenate(draws))
+
+    @pytest.mark.parametrize("theorem,k", [("1.1", 1), ("1.3", 2), ("1.2", 3)])
+    def test_peak_memory_is_the_output_and_a_chunk(self, theorem, k):
+        spec = make_spec(theorem, k)
+        n = 2 * 10**5
+        simulate(spec, 100, seed=1)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            simulate(spec, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * k * 8, f"peak {peak / (n * k * 8):.2f} x n*k*8 bytes"
 
     def test_missing_sampler_raises(self):
         bare = MultiDensity(dim=1, pdf=lambda p: np.exp(-p[..., 0]))
@@ -268,6 +299,16 @@ class TestSampleCounts:
         with pytest.raises(ShapeError, match="samples have 2 coordinates .* k = 1"):
             verify(make_spec("1.1", 1), samples=samples)
 
+    @pytest.mark.parametrize("rows", [0, 5000])
+    def test_short_sample_raises_before_sorting(self, rows, monkeypatch):
+        def no_sort(*args, **kwargs):
+            raise AssertionError("columns sorted")
+
+        monkeypatch.setattr(mc_oracle, "_sorted_columns", no_sort)
+        samples = SampleMatrix(np.full((rows, 1), 0.5), 0)
+        with pytest.raises(UsageError, match="at least 1e4 samples"):
+            verify(make_spec("1.1", 1), samples=samples)
+
 
 class TestAdjudication:
     def test_gen_dirichlet_candidates_differ_and_derivation_wins(self):
@@ -300,24 +341,26 @@ class TestAdjudication:
         assert report.passed
         assert "coincide" in report.adjudication_notes
 
-    def test_printed_candidate_rejected_by_ks(self):
+    def test_printed_candidate_rejected_by_ks(self, unit_mass):
         # transform-level adjudication: KS test separates the two readings
-        spec = make_spec("1.3", 2)
-        parts = simulate_parts(spec, 10**5, seed=48)
+        spec = make_spec("1.3", 2, f=unit_mass(2))
+        y = simulate(spec, 10**5, seed=48).data
         cands = identity_candidates(spec)
         derived, printed = cands[0].pairs, cands[1].pairs
         j = 0  # first coordinate differs between readings
-        p_derived = stats.kstest(parts["y"][:, j], stats.beta(*derived[j]).cdf).pvalue
-        p_printed = stats.kstest(parts["y"][:, j], stats.beta(*printed[j]).cdf).pvalue
+        p_derived = stats.kstest(y[:, j], stats.beta(*derived[j]).cdf).pvalue
+        p_printed = stats.kstest(y[:, j], stats.beta(*printed[j]).cdf).pvalue
         assert p_derived > 1e-3
         assert p_printed < 1e-6
 
 
 class TestRatioCoordinateLaws:
     @pytest.mark.parametrize("theorem", ["1.2", "1.3", "2.4", "2.5"])
-    def test_ratio_coordinates_follow_catalogued_laws(self, theorem):
-        spec = make_spec(theorem, 2)
-        y = simulate_parts(spec, 10**5, seed=49)["y"]
+    def test_ratio_coordinates_follow_catalogued_laws(self, theorem, unit_mass):
+        # with a unit-mass f, u is y (second kind) or 1 / y (first kind)
+        spec = make_spec(theorem, 2, f=unit_mass(2))
+        u = simulate(spec, 10**5, seed=49).data
+        y = u if identity_record(theorem).kind == "second" else 1.0 / u
         for j, (first, second, _) in enumerate(identity_record(theorem).beta(spec.params).triples):
             p = stats.kstest(y[:, j], stats.beta(first, second).cdf).pvalue
             assert p > 1e-3, f"{theorem} coordinate {j}: KS p-value {p:.2e}"

@@ -19,7 +19,6 @@ from ekstat.mc_oracle import (
     histogram_estimate,
     make_spec,
     simulate,
-    simulate_parts,
     verify,
 )
 
@@ -32,7 +31,7 @@ from ekstat.mc_oracle import (
 @example(n=3, workers=4, seed=1)
 def test_row_range_split_is_bit_exact(theorem, k, n, workers, seed):
     spec = make_spec(theorem, k)
-    one = simulate_parts(spec, n, seed, workers=1)
+    one = simulate(spec, n, seed, workers=1).data
     interval = sys.getswitchinterval()
     with pytest.MonkeyPatch.context() as mp:
         # let up to four ranges of several chunks run, whatever this
@@ -41,11 +40,10 @@ def test_row_range_split_is_bit_exact(theorem, k, n, workers, seed):
         mp.setattr(streams, "_CHUNK_ROWS", 257)
         sys.setswitchinterval(1e-5)
         try:
-            split = simulate_parts(spec, n, seed, workers=workers)
+            split = simulate(spec, n, seed, workers=workers).data
         finally:
             sys.setswitchinterval(interval)
-    for key in "xyvu":
-        assert np.array_equal(one[key], split[key]), key
+    assert np.array_equal(one, split)
 
 
 def _brute_force_histogram(data, probes, h):
