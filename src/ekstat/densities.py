@@ -8,12 +8,12 @@ independent betas (:func:`ekstat.transforms.ratio_beta_pairs`) in the ratio
 coordinates of the triangular map.  Every pdf evaluates to exactly 0
 outside (and on the boundary of) its support, so quadrature and histogram
 code may touch boundaries freely; normalizing constants are assembled in
-log space.  Samplers are built from exact gamma draws on the
-counter-based uniform streams of :mod:`ekstat.streams`: one Marsaglia-Tsang
-candidate per draw, with an inverse-CDF fallback on a reserved uniform where
-it rejects, so each sample row consumes a fixed number of uniforms
-(:func:`gamma_uniform_cols`).  That makes worker-partitioned
-and differently chunked runs reproduce the single-worker draws exactly.
+log space.  Samplers are built from exact gamma draws: numpy's
+``Generator.standard_gamma`` (Marsaglia-Tsang with ziggurat normals, in C)
+on the per-block generators of :mod:`ekstat.streams`, row by row and
+within a row one draw per shape in order (:func:`_gamma_cols`).  A block's
+draws depend on the seed and the block alone, so worker-partitioned runs
+reproduce the single-worker draws exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import transforms
 from .errors import ParameterError, ShapeError
-from .streams import map_uniform_rows
+from .streams import map_rows
 
 
 # ---------------------------------------------------------------------------
@@ -293,91 +293,28 @@ def pathway_limit_factor(u, v, *, a: float, eta: float, zeta: float):
 # samplers
 # ---------------------------------------------------------------------------
 
-# Marsaglia & Tsang, "A simple method for generating gamma variables" (ACM
-# TOMS 26(3), 2000), on a fixed run of uniform columns per gamma draw, so a
-# row's draws depend on (seed, row) alone: a normal (ndtri of the first), the
-# candidate's accept uniform, a reserved uniform for an exact inverse-CDF
-# draw on the rows where the candidate rejects (at most 4.8% of them, at
-# shape 1), and below shape 1 a boost uniform.  One candidate beats two:
-# the second cuts the fallback rows to 2.3e-3 but adds two Philox uniforms
-# to every row, which cost more than the inverse CDF they save (on a 2-vCPU
-# VM, simulating the benchmark's ten verify cases at 1e6 rows took 5.6 s with
-# one candidate and 6.3 s with two).
-def gamma_uniform_cols(shapes: Sequence[float]) -> int:
-    """Uniform columns that :func:`_gamma_cols` consumes for these shapes:
-    normal, accept and reserved, and a boost below shape 1."""
-    return sum(3 + (s < 1.0) for s in shapes)
+def _gamma_cols(gen: np.random.Generator, count: int, shapes: Sequence[float]) -> np.ndarray:
+    """(count, len(shapes)) unit-rate gamma draws, column j at ``shapes[j]``.
 
-
-def _gamma_col(u: np.ndarray, shape: float) -> np.ndarray:
-    """Unit-rate Gamma(shape) draws from the columns of one draw's run.
-
-    An accepted candidate is exactly Gamma(a) with a = shape (shape + 1
-    below 1), and so is the fallback ``gammaincinv(a, reserved)``; below 1
-    the draw is boosted by ``U^(1/shape)``.
+    One ``gen.standard_gamma`` call draws them row by row, so the first rows
+    of a block do not depend on how many rows it has.
     """
-    # scipy loads on the first draw, not with the package
-    from scipy.special import gammaincinv, ndtri
-
-    a = shape + 1.0 if shape < 1.0 else shape
-    d = a - 1.0 / 3.0
-    z = ndtri(u[:, 0])
-    v = (1.0 + z / math.sqrt(9.0 * d)) ** 3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok = (v > 0.0) & (np.log(u[:, 1]) < 0.5 * z * z + d - d * v + d * np.log(v))
-    g = d * v
-    rejected = ~ok
-    g[rejected] = gammaincinv(a, u[rejected, 2])
-    return g * u[:, 3] ** (1.0 / shape) if shape < 1.0 else g
+    return gen.standard_gamma(np.asarray(shapes, dtype=float), (count, len(shapes)))
 
 
-def _gamma_cols(u: np.ndarray, shapes: Sequence[float]) -> np.ndarray:
-    """Unit-rate gamma draws, one column per shape, each from its own run of
-    :func:`gamma_uniform_cols` uniform columns."""
-    width = gamma_uniform_cols(shapes)
-    if u.shape[-1] != width:
-        raise ShapeError(f"gamma shapes {tuple(shapes)} take {width} uniform columns, "
-                         f"got {u.shape[-1]}")
-    out = np.empty((u.shape[0], len(shapes)))
-    col = 0
-    for j, s in enumerate(shapes):
-        run = gamma_uniform_cols((s,))
-        out[:, j] = _gamma_col(u[:, col:col + run], s)
-        col += run
-    return out
-
-
-def beta_shapes(triples) -> list[float]:
-    """Gamma shapes behind :func:`beta_product_from_uniforms`: each
-    ``(first, second, c)`` triple is the ratio of two gamma draws."""
-    return [p for first, second, _ in triples for p in (first, second)]
-
-
-def dirichlet_shapes(p: DirichletParams) -> tuple[float, ...]:
-    """Gamma shapes behind :func:`dirichlet_from_uniforms`."""
-    return tuple(a + 1.0 for a in p.alphas) + (p.alpha_last,)
-
-
-def beta_product_from_uniforms(u: np.ndarray, triples) -> np.ndarray:
-    """Independent scaled betas, one per ``(first, second, c)`` triple:
-    column j is Beta(first, second) / c, drawn as a gamma ratio from the
-    ``gamma_uniform_cols(beta_shapes(triples))`` columns of ``u``."""
-    g = _gamma_cols(u, beta_shapes(triples))
+def beta_product_draws(gen: np.random.Generator, count: int, triples) -> np.ndarray:
+    """Independent scaled betas, one column per ``(first, second, c)``
+    triple: column j is Beta(first, second) / c, drawn as a gamma ratio."""
+    g = _gamma_cols(gen, count, [p for first, second, _ in triples for p in (first, second)])
     scale = np.array([c for _, _, c in triples])
     return g[:, 0::2] / (g[:, 0::2] + g[:, 1::2]) / scale
 
 
-def dirichlet_from_uniforms(u: np.ndarray, p: DirichletParams) -> np.ndarray:
+def dirichlet_draws(gen: np.random.Generator, count: int, p: DirichletParams) -> np.ndarray:
     """Dirichlet rows on the open simplex by gamma normalization of k+1
-    draws from the ``gamma_uniform_cols(dirichlet_shapes(p))`` columns of
-    ``u``."""
-    g = _gamma_cols(u, dirichlet_shapes(p))
+    draws."""
+    g = _gamma_cols(gen, count, tuple(a + 1.0 for a in p.alphas) + (p.alpha_last,))
     return g[:, :p.dim] / np.sum(g, axis=1, keepdims=True)
-
-
-def beta_from_uniforms(u: np.ndarray, first: float, second: float) -> np.ndarray:
-    """Beta(first, second) draws via a gamma ratio."""
-    return beta_product_from_uniforms(u, ((first, second, 1.0),))[:, 0]
 
 
 def _beta_rows(triples, n: int, seed: int, workers: int,
@@ -385,10 +322,9 @@ def _beta_rows(triples, n: int, seed: int, workers: int,
     """Rows of independent Beta(first, second)/c draws, one column per
     ``(first, second, c)`` triple, pushed through the inverse triangular map
     when ``triangular``; deterministic given ``seed``."""
-    draw = lambda u: beta_product_from_uniforms(u, triples)
-    rows = (lambda u: transforms.inverse(draw(u))) if triangular else draw
-    return SampleMatrix(map_uniform_rows(rows, seed, n, gamma_uniform_cols(beta_shapes(triples)),
-                                         len(triples), workers), seed)
+    draw = lambda gen, count: beta_product_draws(gen, count, triples)
+    rows = (lambda gen, count: transforms.inverse(draw(gen, count))) if triangular else draw
+    return SampleMatrix(map_rows(rows, seed, n, len(triples), workers), seed)
 
 
 def beta1_sample(p: BetaParams, n: int, seed: int, workers: int = 1) -> SampleMatrix:
@@ -398,9 +334,8 @@ def beta1_sample(p: BetaParams, n: int, seed: int, workers: int = 1) -> SampleMa
 
 def dirichlet1_sample(p: DirichletParams, n: int, seed: int, workers: int = 1) -> SampleMatrix:
     """Dirichlet rows via gamma normalization; rows lie on the open simplex."""
-    draw = lambda u: dirichlet_from_uniforms(u, p)
-    return SampleMatrix(map_uniform_rows(draw, seed, n, gamma_uniform_cols(dirichlet_shapes(p)),
-                                         p.dim, workers), seed)
+    draw = lambda gen, count: dirichlet_draws(gen, count, p)
+    return SampleMatrix(map_rows(draw, seed, n, p.dim, workers), seed)
 
 
 def gen_dirichlet1_sample(p: GenDirichletParams, n: int, seed: int, workers: int = 1) -> SampleMatrix:

@@ -41,7 +41,6 @@ from .densities import (
     SampleMatrix,
     _gamma_cols,
     check_finite,
-    gamma_uniform_cols,
 )
 from .errors import (
     DomainError,
@@ -59,7 +58,7 @@ from .quadrature import (
     jacobi_rule,
     semiaxis_log_rule,
 )
-from .streams import map_uniform_rows
+from .streams import map_rows
 from .transforms import ratio_beta_pairs
 
 # Most tensor nodes one dense evaluation or Mellin sum may build: (n nodes
@@ -118,10 +117,11 @@ class MultiDensity:
     ``pdf`` is the only required hook: it takes points of shape (..., dim)
     and returns nonnegative values of shape (...).  It must be safe to call
     concurrently.  Optional extras power the statistical machinery:
-    ``from_uniforms`` turns an (n, uniform_cols) block of open-interval
-    uniforms into exact draws (a fixed number of columns per row, however
-    many a rejection step uses, so a row's draws depend on its uniforms
-    alone), and
+    ``from_uniforms(gen, count)`` returns ``count`` exact draws, shape
+    (count, dim), taking all its randomness from the numpy Generator
+    ``gen`` (one per block of rows, see :func:`ekstat.streams.map_rows`;
+    the field keeps the name it had when it took a block of uniforms,
+    because benchmarks/tracing.py replaces it under that name), and
     ``mellin`` is a closed-form Mellin transform taking a complex vector of
     length ``dim``.
 
@@ -136,8 +136,7 @@ class MultiDensity:
 
     dim: int
     pdf: Callable[[np.ndarray], np.ndarray]
-    uniform_cols: int | None = None
-    from_uniforms: Callable[[np.ndarray], np.ndarray] | None = None
+    from_uniforms: Callable[[np.random.Generator, int], np.ndarray] | None = None
     mellin: Callable[[np.ndarray], complex] | None = None
     tail: str = "exp"
     name: str = ""
@@ -150,10 +149,9 @@ class MultiDensity:
 
     def sample(self, n: int, seed: int, workers: int = 1) -> SampleMatrix:
         """Exact draws from the density; deterministic given ``seed``."""
-        if self.from_uniforms is None or self.uniform_cols is None:
+        if self.from_uniforms is None:
             raise UsageError(f"density {self.name or '<anonymous>'} has no sampler")
-        return SampleMatrix(map_uniform_rows(self.from_uniforms, seed, n, self.uniform_cols,
-                                             self.dim, workers), seed)
+        return SampleMatrix(map_rows(self.from_uniforms, seed, n, self.dim, workers), seed)
 
 
 @dataclass(frozen=True)
@@ -688,8 +686,8 @@ def predicted_density(theorem: str, params, f: MultiDensity, points,
 def gamma_product(shapes: Sequence[float], name: str = "") -> MultiDensity:
     """Product of unit-rate gamma densities with the given shapes.
 
-    Carries an exact sampler (a fixed run of uniforms per coordinate, see
-    :func:`ekstat.densities.gamma_uniform_cols`), the
+    Carries an exact sampler (numpy's ``standard_gamma``, one column per
+    coordinate, see :func:`ekstat.densities._gamma_cols`), the
     closed-form Mellin transform
     ``prod_j Gamma(shape_j + s_j - 1) / Gamma(shape_j)``, and one factor
     pdf per coordinate, on the same log density as the joint ``pdf``.
@@ -720,8 +718,8 @@ def gamma_product(shapes: Sequence[float], name: str = "") -> MultiDensity:
             return np.where(x > 0.0, np.exp(log_pdf(np.where(x > 0.0, x, 1.0), j)), 0.0)
         return pdf_j
 
-    def from_uniforms(u: np.ndarray) -> np.ndarray:
-        return _gamma_cols(u, shapes)
+    def from_uniforms(gen: np.random.Generator, count: int) -> np.ndarray:
+        return _gamma_cols(gen, count, shapes)
 
     def mellin(s) -> complex:
         from scipy.special import loggamma  # complex Gamma; scipy loads on the first check
@@ -732,8 +730,7 @@ def gamma_product(shapes: Sequence[float], name: str = "") -> MultiDensity:
         return complex(np.exp(np.sum(loggamma(arr + s - 1.0) - log_norm)))
 
     return MultiDensity(
-        dim=k, pdf=pdf, uniform_cols=gamma_uniform_cols(shapes), from_uniforms=from_uniforms,
-        mellin=mellin, tail="exp",
+        dim=k, pdf=pdf, from_uniforms=from_uniforms, mellin=mellin, tail="exp",
         name=name or f"gamma-product{shapes}", factors=tuple(map(factor, range(k))),
     )
 

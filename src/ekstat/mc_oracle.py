@@ -27,12 +27,8 @@ from . import transforms
 from .densities import (
     DirichletParams,
     SampleMatrix,
-    beta_from_uniforms,  # noqa: F401
-    beta_product_from_uniforms,
-    beta_shapes,
-    dirichlet_from_uniforms,
-    dirichlet_shapes,
-    gamma_uniform_cols,
+    beta_product_draws,
+    dirichlet_draws,
 )
 from .errors import ParameterError, ShapeError, SizeError, UsageError
 from .kober import (
@@ -46,21 +42,25 @@ from .kober import (
     setup_from_triples,
 )
 from .quadrature import DEFAULT_NODES
-from .streams import map_uniform_rows, uniform_block_parallel  # noqa: F401
-
-# ``simulate`` draws through ``densities`` (fixed-column Marsaglia-Tsang
-# gamma draws, with ``gammaincinv`` only as their fallback) and
-# ``streams.map_uniform_rows``; it calls none of ``gammaincinv``,
-# ``beta_from_uniforms`` or ``uniform_block_parallel`` through this module.
-# benchmarks/tracing.py patches those three names here, so they stay
-# reachable: the last two as imports above, and ``gammaincinv`` through
-# ``__getattr__``, so that importing this module does not import scipy.
+from .streams import map_rows
 
 
+def _removed_sampler(*args, **kwargs):
+    raise NotImplementedError("this sampler was removed; simulate draws through streams.map_rows")
+
+
+# ``simulate`` draws through ``densities._gamma_cols`` and
+# ``streams.map_rows``; nothing in the library calls ``gammaincinv``,
+# ``beta_from_uniforms`` or ``uniform_block_parallel``.  Only
+# benchmarks/tracing.py looks those three names up here, to patch them, so
+# they are served on lookup: ``gammaincinv`` as scipy's (imported only
+# then), the other two as a stub that raises if called.
 def __getattr__(name: str):
     if name == "gammaincinv":
         from scipy.special import gammaincinv
         return gammaincinv
+    if name in ("beta_from_uniforms", "uniform_block_parallel"):
+        return _removed_sampler
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -136,33 +136,30 @@ def make_spec(theorem: str, k: int, params=None, f: MultiDensity | None = None) 
 def simulate(spec: TheoremSpec, n: int, seed: int, workers: int = 1) -> SampleMatrix:
     """Draws of the combined vector u, exactly per the identity's construction.
 
-    Each row's uniforms feed the mixing vector x (its first columns) and
-    the f-draw v (the rest).  The ratio coordinates y are x, or the
-    triangular map of x for a triangular identity, whose betas are drawn
-    as the ratio coordinates of x; u is y * v (second kind) or v / y
-    (first kind).  Every stage is row-wise, so each row range runs the
-    whole construction on its own uniforms.
+    Each block of rows draws the mixing vector x first and then the
+    f-draw v, from the block's generator.  The ratio coordinates y are x,
+    or the triangular map of x for a triangular identity, whose betas are
+    drawn as the ratio coordinates of x; u is y * v (second kind) or v / y
+    (first kind).  Every stage is row-wise, so each block runs the whole
+    construction on its own generator.
     """
-    if spec.f.from_uniforms is None or spec.f.uniform_cols is None:
+    if spec.f.from_uniforms is None:
         raise UsageError("the identity's density f carries no sampler")
     rec = identity_record(spec.theorem)
     dirichlet = isinstance(spec.params, DirichletParams)
     triples = None if dirichlet else rec.beta(spec.params).triples
-    cols_x = gamma_uniform_cols(dirichlet_shapes(spec.params) if dirichlet
-                                else beta_shapes(triples))
 
-    def rows(block):
-        v = spec.f.from_uniforms(block[:, cols_x:])
+    def rows(gen, count):
         if dirichlet:
-            x = dirichlet_from_uniforms(block[:, :cols_x], spec.params)
+            x = dirichlet_draws(gen, count, spec.params)
         else:
-            x = beta_product_from_uniforms(block[:, :cols_x], triples)
+            x = beta_product_draws(gen, count, triples)
             x = transforms.inverse(x) if rec.triangular else x
+        v = spec.f.from_uniforms(gen, count)
         y = transforms.forward(x) if rec.triangular else x
         return y * v if rec.kind == "second" else v / y
 
-    return SampleMatrix(map_uniform_rows(rows, seed, n, cols_x + spec.f.uniform_cols,
-                                         spec.k, workers), seed)
+    return SampleMatrix(map_rows(rows, seed, n, spec.k, workers), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -493,11 +493,15 @@ class TestNodeCeiling:
 
 
 def test_import_and_eval_leave_scipy_unloaded():
-    # scipy loads on the first draw or Mellin check, not with the package
+    # scipy loads on the first Mellin check, not with the package, and
+    # neither evaluation nor sampling nor a whole verify run loads it
     script = ("import sys, ekstat; from ekstat import cli; "
               "loaded = 'scipy' in sys.modules; "
               "code = cli.run(['eval', '--kind', 'second', '--k', '1', '--zeta', '0.5', "
-              "'--alpha', '0.7', '--density', 'gamma:2', '--point', '1', '--point', '1e-6']); "
+              "'--alpha', '0.7', '--density', 'gamma:2', '--point', '1', '--point', '1e-6']) "
+              "or cli.run(['sample', '--family', 'gamma:2', '--n', '5', '--seed', '3']) "
+              "or cli.run(['verify', '--theorem', '2.4', '--k', '2', '--samples', '20000', "
+              "'--seed', '1']); "
               "print(loaded, code, 'scipy' in sys.modules)")
     src = str(Path(ekstat.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

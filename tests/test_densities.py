@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import betaln, gammaincinv, ndtri
+from scipy.special import betaln
 
 from ekstat.densities import (
     BetaParams,
@@ -14,13 +14,10 @@ from ekstat.densities import (
     _gamma_cols,
     beta1_pdf,
     beta1_sample,
-    beta_product_from_uniforms,
-    beta_shapes,
+    beta_product_draws,
     dirichlet1_pdf,
     dirichlet1_sample,
-    dirichlet_from_uniforms,
-    dirichlet_shapes,
-    gamma_uniform_cols,
+    dirichlet_draws,
     gen_dirichlet1_pdf,
     gen_dirichlet1_sample,
     pathway_factor,
@@ -31,7 +28,7 @@ from ekstat.densities import (
 )
 from ekstat.errors import EmptyRequestError, ParameterError, ShapeError
 from ekstat.kober import gamma_product
-from ekstat.streams import uniform_block
+from ekstat.streams import map_rows
 from ekstat.transforms import forward, ratio_beta_pairs
 
 LEGGAUSS_N = 400
@@ -410,88 +407,68 @@ class TestPathwayLimitFactor:
         assert pathway_factor(3.0, 1.0, p) == 0.0
 
 
-GAMMA_SHAPES = [0.3, 0.7, 1.0, 2.0, 3.0, 20.0]
+# the paper's shapes sit between 0.3 and 6; 20 is the far end the old
+# fixed-column sampler was checked at
+GAMMA_SHAPES = [0.3, 0.7, 1.0, 2.0, 2.5, 3.0, 6.0, 20.0]
+# not a multiple of the 2**14-row block, so the last block is a short one
+GAMMA_ROWS = 200_003
 
 
-def _rejecting(u):
-    """A copy of a gamma draw's uniform run whose Marsaglia-Tsang candidate
-    rejects: the smallest uniform gives a normal near -8.2, and the largest
-    accept uniform then fails the log test for every shape in GAMMA_SHAPES."""
-    u = u.copy()
-    u[:, 0], u[:, 1] = 2.0 ** -53, 1.0 - 2.0 ** -53
-    return u
+def _gamma_sample(seed, shape):
+    return gamma_product((shape,)).sample(GAMMA_ROWS, seed).data[:, 0]
 
 
 class TestGammaSampler:
-    """Fixed-column gamma draws, against scipy's gamma law and inverse CDF."""
+    """numpy's gamma draws on the per-block generators, against scipy's
+    gamma law."""
 
     @pytest.mark.parametrize("shape", GAMMA_SHAPES)
     def test_draws_follow_the_gamma_law(self, shape):
-        n = 200_000
-        u = uniform_block(31, n, gamma_uniform_cols([shape]))
-        draws = _gamma_cols(u, [shape])[:, 0]
+        draws = _gamma_sample(31, shape)
         assert stats.kstest(draws, stats.gamma(shape).cdf).pvalue > 1e-3
 
     def test_column_widths(self):
-        # normal, accept and reserved uniforms; a boost below shape 1
-        assert gamma_uniform_cols([2.0]) == 3
-        assert gamma_uniform_cols([0.5]) == 4
-        assert gamma_uniform_cols(GAMMA_SHAPES) == 20
+        # one column per gamma shape, per beta triple, per Dirichlet coordinate
+        gen = np.random.default_rng(30)
+        assert _gamma_cols(gen, 5, [2.0]).shape == (5, 1)
+        assert _gamma_cols(gen, 5, GAMMA_SHAPES).shape == (5, len(GAMMA_SHAPES))
+        assert beta_product_draws(gen, 5, [(2.0, 3.0, 1.0), (0.5, 1.5, 2.0)]).shape == (5, 2)
+        assert dirichlet_draws(gen, 5, DirichletParams((0.5, 1.0), 2.0)).shape == (5, 2)
+        assert gamma_product((2.0, 0.5)).from_uniforms(gen, 5).shape == (5, 2)
 
-    @pytest.mark.parametrize("shape", [0.3, 0.7])
-    def test_shape_below_one_boosts_a_shape_plus_one_draw(self, shape):
-        u = uniform_block(32, 20_000, gamma_uniform_cols([shape]))
-        lifted = _gamma_cols(u[:, :-1], [shape + 1.0])[:, 0]
-        got = _gamma_cols(u, [shape])[:, 0]
-        assert np.array_equal(got, lifted * u[:, -1] ** (1.0 / shape))
-        assert stats.kstest(u[:, -1] ** (1.0 / shape), stats.beta(shape, 1.0).cdf).pvalue > 1e-3
-
-    @pytest.mark.parametrize("shape", GAMMA_SHAPES)
-    def test_rejected_rows_use_the_inverse_cdf(self, shape):
-        u = _rejecting(uniform_block(33, 2000, gamma_uniform_cols([shape])))
-        lifted = shape + 1.0 if shape < 1.0 else shape
-        want = gammaincinv(lifted, u[:, 2])
-        if shape < 1.0:
-            want = want * u[:, 3] ** (1.0 / shape)
-        assert np.array_equal(_gamma_cols(u, [shape])[:, 0], want)
-
-    @pytest.mark.parametrize("shape", GAMMA_SHAPES)
-    def test_each_draw_is_the_candidate_or_the_fallback(self, shape):
-        u = uniform_block(34, 20_000, gamma_uniform_cols([shape]))
-        lifted = shape + 1.0 if shape < 1.0 else shape
-        d = lifted - 1.0 / 3.0
-        candidate = d * (1.0 + ndtri(u[:, 0]) / math.sqrt(9.0 * d)) ** 3
-        if shape < 1.0:
-            candidate = candidate * u[:, 3] ** (1.0 / shape)
-        got = _gamma_cols(u, [shape])[:, 0]
-        fallback = _gamma_cols(_rejecting(u), [shape])[:, 0]
-        kept = got == candidate
-        assert np.array_equal(got[~kept], fallback[~kept])
-        # Marsaglia-Tsang rejects at most 4.8% of the candidates (at shape 1)
-        assert kept.mean() > 0.94
+    @pytest.mark.parametrize("shape", [0.3, 0.7, 1.0, 2.5, 6.0])
+    def test_moments_match_the_gamma_law(self, shape):
+        # mean and variance both equal the shape, within 5 standard errors:
+        # the fourth central moment is 3a^2 + 6a, so the sample variance
+        # has variance (2a^2 + 6a)/n
+        draws = _gamma_sample(32, shape)
+        n = draws.size
+        assert stats.gamma(shape).stats("mv") == (shape, shape)
+        assert abs(draws.mean() - shape) < 5.0 * math.sqrt(shape / n)
+        assert abs(draws.var() - shape) < 5.0 * math.sqrt((2.0 * shape**2 + 6.0 * shape) / n)
 
     def test_columns_run_per_shape_in_order(self):
+        # row by row, and within a row one draw per shape in order
         shapes = [2.0, 0.5, 3.0]
-        u = uniform_block(35, 1000, gamma_uniform_cols(shapes))
-        got = _gamma_cols(u, shapes)
-        edges = np.cumsum([0] + [gamma_uniform_cols([s]) for s in shapes])
-        for j, s in enumerate(shapes):
-            assert np.array_equal(got[:, j], _gamma_cols(u[:, edges[j]:edges[j + 1]], [s])[:, 0])
+        got = _gamma_cols(np.random.default_rng(35), 1000, shapes)
+        gen = np.random.default_rng(35)
+        want = [[gen.standard_gamma(s) for s in shapes] for _ in range(1000)]
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_misaligned_block_raises(self, extra):
+        # a table one column narrower or wider than the sampler's rows is
+        # refused, never broadcast
         triples = [(2.0, 3.0, 1.0), (0.5, 1.5, 2.0)]
         dirichlet = DirichletParams((0.5, 1.0), 2.0)
         f = gamma_product((2.0, 0.5))
         cases = [
-            (f.from_uniforms, f.uniform_cols),
-            (lambda u: beta_product_from_uniforms(u, triples),
-             gamma_uniform_cols(beta_shapes(triples))),
-            (lambda u: dirichlet_from_uniforms(u, dirichlet),
-             gamma_uniform_cols(dirichlet_shapes(dirichlet))),
+            (f.from_uniforms, f.dim),
+            (lambda gen, count: beta_product_draws(gen, count, triples), len(triples)),
+            (lambda gen, count: dirichlet_draws(gen, count, dirichlet), dirichlet.dim),
         ]
         for draw, width in cases:
-            u = uniform_block(36, 10, width + extra)
-            with pytest.raises(ShapeError, match="uniform columns"):
-                draw(u)
-            assert draw(uniform_block(36, 10, width)).shape[0] == 10
+            with pytest.raises(ShapeError, match=f"{width + extra} columns"):
+                map_rows(draw, 36, 10, width + extra)
+            assert map_rows(draw, 36, 10, width).shape == (10, width)
+

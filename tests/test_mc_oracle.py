@@ -77,8 +77,8 @@ class TestSimulate:
         # and u is y times the f-draws of the same rows
         f, draws = default_density(2), []
 
-        def recorded(block):
-            draws.append(f.from_uniforms(block))
+        def recorded(gen, count):
+            draws.append(f.from_uniforms(gen, count))
             return draws[-1]
 
         u = simulate(make_spec("1.3", 2, f=dataclasses.replace(f, from_uniforms=recorded)),

@@ -31,13 +31,15 @@ from ekstat.mc_oracle import (
 @example(n=3, workers=4, seed=1)
 def test_row_range_split_is_bit_exact(theorem, k, n, workers, seed):
     spec = make_spec(theorem, k)
-    one = simulate(spec, n, seed, workers=1).data
     interval = sys.getswitchinterval()
     with pytest.MonkeyPatch.context() as mp:
-        # let up to four ranges of several chunks run, whatever this
-        # machine's CPU count, and switch threads often so that they interleave
-        mp.setattr(streams, "_cpu_count", lambda: 4)
+        # the draws depend on the block size, so both runs use blocks of
+        # 257 rows; let up to four ranges of several blocks run, whatever
+        # this machine's CPU count, and switch threads often so that they
+        # interleave
         mp.setattr(streams, "_CHUNK_ROWS", 257)
+        one = simulate(spec, n, seed, workers=1).data
+        mp.setattr(streams, "_cpu_count", lambda: 4)
         sys.setswitchinterval(1e-5)
         try:
             split = simulate(spec, n, seed, workers=workers).data
