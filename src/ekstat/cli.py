@@ -13,6 +13,7 @@ Exit codes: 0 success (and verification passed), 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -403,9 +404,14 @@ def _join_negative_values(argv) -> list[str]:
     return out
 
 
+# one parser serves every call: building it takes milliseconds, mostly
+# argparse's terminal-size lookups, and parsing leaves it unchanged
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def run(argv=None) -> int:
     """Entry point returning the process exit code."""
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:

@@ -29,7 +29,7 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -64,7 +64,8 @@ from .transforms import ratio_beta_pairs
 # Most tensor nodes one dense evaluation or Mellin sum may build: (n nodes
 # per dimension)**k.
 # 1 << 22 admits the refined k=3 evaluation at n=64 (128**3 = 2**21).  A
-# density with factors is summed one dimension at a time and builds no grid.
+# density with factors, and its operator image, is summed one dimension at
+# a time, by the operators and by the Mellin sum alike, and builds no grid.
 _MAX_TENSOR_NODES = 1 << 22
 # Fewest nodes per dimension: the near- and far-field splits need room for
 # both of their parts, and without them the error estimate far from the
@@ -129,9 +130,11 @@ class MultiDensity:
     selects semi-axis node layouts.
 
     ``factors``, when set, holds ``dim`` one-dimensional pdfs whose product
-    is ``pdf``: factor j takes an array of coordinate-j values and returns
-    one value per entry.  The operators then evaluate as a product of
-    one-dimensional sums instead of a sum over the ``n^dim`` tensor grid.
+    is ``pdf``: factor j takes an array (of any shape) of coordinate-j
+    values and returns one value per entry.  The operators then evaluate as
+    a product of one-dimensional sums instead of a sum over the ``n^dim``
+    tensor grid, the operator image (:func:`operator_image`) has factors
+    too, and the Mellin transform is a product of one-dimensional sums.
     """
 
     dim: int
@@ -198,7 +201,9 @@ class _DimQuad:
     For an evaluation point ``u`` the dimension contributes
     ``sum_i exp(logw_i) * f(... v_i ...)``; the plan chooses between the
     plain Jacobi rule and the composite near/far-field split.  ``c`` is the
-    pathway support factor a(1-q) (1 for the classical operators).
+    pathway support factor a(1-q) (1 for the classical operators).  A plan
+    takes an array of one dimension's coordinates at once (:meth:`sums`);
+    :func:`_plan` keeps the plans built.
     """
 
     def __init__(self, kind: str, zeta: float, alpha: float, c: float, n: int):
@@ -224,87 +229,191 @@ class _DimQuad:
         z, second = self.zeta, self.kind == "second"
         keep_t = second and not z > 0.0
         rule = jacobi_rule(self.n, self.alpha - 1.0, z - 1.0 if second and z > 0.0 else z)
-        logw = np.log(rule.weights_unit) - np.log(rule.nodes) if keep_t else np.log(rule.weights_unit)
+        logw = _log_weights(rule)
+        if keep_t:
+            logw = logw - np.log(rule.nodes)
         logw = logw + rule.log_mass - math.lgamma(self.alpha) + self.extra_log
         logw.setflags(write=False)
         return rule.nodes, logw
 
     @cached_property
+    def _plain_weights(self):
+        """The plain rule's top log weight and its weights divided by
+        exp(top), which every plain-regime coordinate shares."""
+        _, logw = self._plain
+        top = float(np.max(logw))
+        w = np.exp(logw - top)
+        w.setflags(write=False)
+        return top, w
+
+    @cached_property
     def _split_rules(self):
-        """The split's point-independent rules: the kernel-edge Jacobi rule
-        with its log weights, and for the first kind the semi-axis tail."""
+        """The split's point-independent arrays: the kernel-edge Jacobi
+        rule, its log weights, its nodes as multiples of u (1 + t for the
+        second kind, 1 - t/2 for the first), and for the first kind the
+        semi-axis tail (log x, log w, x)."""
         n_edge = self.n // 2 if self.kind == "second" else min(max(4, self.n // 4), self.n - 4)
         edge = jacobi_rule(n_edge, 0.0, self.alpha - 1.0)
-        # node variable is c*v, so the layout sits at scale c
-        tail = None if self.kind == "second" else semiaxis_log_rule(
-            self.n - n_edge, "exp", math.log(self.c))
-        return edge, np.log(edge.weights_unit), tail
+        edge_logw = _log_weights(edge)
+        if self.kind == "second":
+            edge_v, tail = 1.0 + edge.nodes, ()
+        else:
+            edge_v = 1.0 - 0.5 * edge.nodes
+            # node variable is c*v, so the layout sits at scale c
+            log_x, log_w = semiaxis_log_rule(self.n - n_edge, "exp", math.log(self.c))
+            tail = (log_x, log_w, np.exp(log_x))
+        for a in (edge_logw, edge_v, *tail):
+            a.setflags(write=False)
+        return edge, edge_logw, edge_v, tail
 
-    def _near_second(self, u_eff: float):
-        """Second kind for c*u below :data:`_NEAR_FIELD`.
+    # The split regimes take an array of coordinates; row i of their nodes
+    # and log weights is what one coordinate alone gets, bit for bit.  The
+    # per-coordinate scalars go through math, as for one coordinate, and
+    # numpy takes only the arithmetic of whole rows.
+
+    def _near_second(self, u_eff: np.ndarray):
+        """Second kind for values c*u below :data:`_NEAR_FIELD`: nodes and
+        log weights, one row per value.
 
         Edge part: v in (u, 2u) with the kernel power exact; tail part:
         v in (2u, inf) on scale-adapted nodes with a double-exponentially
         damped approach to 2u.
         """
         z, a = self.zeta, self.alpha
-        edge, edge_logw, _ = self._split_rules
-        lu = math.log(u_eff)
-        v_edge = u_eff * (1.0 + edge.nodes)
-        logw_edge = (edge_logw + edge.log_mass - math.lgamma(a)
-                     + (z + a) * lu - (z + a) * np.log(v_edge))
-        # tail nodes: v = 2u (1 + e^(w - e^-w)), reaching past v = 350
-        w_hi = max(_EXP_SINH_HI, math.log(350.0 / u_eff))
-        w = np.linspace(_EXP_SINH_LO, w_hi, self.n - len(edge.nodes))
-        h = w[1] - w[0]
-        e = np.exp(w - np.exp(-w))
-        v_tail = 2.0 * u_eff * (1.0 + e)
-        log_dv = math.log(2.0 * u_eff) + np.log(e) + np.log1p(np.exp(-w)) + math.log(h)
-        logw_tail = (z * lu - math.lgamma(a) + log_dv
-                     + (a - 1.0) * np.log(v_tail - u_eff)
+        edge, edge_logw, edge_v, _ = self._split_rules
+        lga = math.lgamma(a)
+        m = self.n - len(edge.nodes)
+        cols = []
+        for x in u_eff.tolist():
+            lu = math.log(x)
+            # the tail's w-grid is np.linspace(LO, w_hi, m), reaching past v = 350
+            w_hi = max(_EXP_SINH_HI, math.log(350.0 / x))
+            step = (w_hi - _EXP_SINH_LO) / (m - 1)
+            cols.append(((z + a) * lu, z * lu - lga, math.log(2.0 * x), 2.0 * x, w_hi, step,
+                         math.log((step + _EXP_SINH_LO) - _EXP_SINH_LO)))
+        lu_za, lu_z, log_2u, two_u, w_hi, step, log_h = np.array(cols).T[:, :, None]
+        u_col = u_eff[:, None]
+        v_edge = u_col * edge_v
+        logw_edge = edge_logw + edge.log_mass - lga + lu_za - (z + a) * np.log(v_edge)
+        # tail nodes: v = 2u (1 + e^(w - e^-w))
+        w = np.arange(m, dtype=float) * step + _EXP_SINH_LO
+        w[:, -1:] = w_hi
+        e_neg = np.exp(-w)
+        e = np.exp(w - e_neg)
+        v_tail = two_u * (1.0 + e)
+        log_dv = log_2u + np.log(e) + np.log1p(e_neg) + log_h
+        logw_tail = (lu_z + log_dv + (a - 1.0) * np.log(v_tail - u_col)
                      - (z + a) * np.log(v_tail))
-        return (np.concatenate([v_edge, v_tail]),
-                np.concatenate([logw_edge, logw_tail]) + self.extra_log)
+        return (np.concatenate([v_edge, v_tail], axis=1),
+                np.concatenate([logw_edge, logw_tail], axis=1) + self.extra_log)
 
-    def _far_first(self, u_eff: float):
-        """First kind for u above :data:`_FAR_FIELD` * c.
+    def _far_first(self, u: np.ndarray):
+        """First kind for values u above :data:`_FAR_FIELD` * c, as a list
+        of (rows, nodes, log weights) blocks: row i of a block belongs to
+        ``u[rows][i]``, and a block holds the values that keep the same
+        number of tail nodes.
 
         Tail part: v in (0, u/2) on scale-adapted semi-axis nodes (the
         kernel is smooth there); edge part: v in (u/2, u) with the kernel
         power exact (the density is exponentially small there).
         """
         z, a = self.zeta, self.alpha
-        edge, edge_logw, (log_x, log_w) = self._split_rules
-        lu = math.log(u_eff)
-        base = -(z + a) * lu - math.lgamma(a)
-        keep = log_x < lu - math.log(2.0)
-        lv = log_x[keep]
-        v_tail = np.exp(lv)
-        logw_tail = (base + (z + 1.0) * lv
-                     + (a - 1.0) * (lu + np.log1p(-v_tail / u_eff))
-                     + log_w[keep])
-        v_edge = u_eff * (1.0 - 0.5 * edge.nodes)
-        logw_edge = (base + edge_logw + edge.log_mass
-                     + z * np.log(v_edge) + a * (lu - math.log(2.0)))
-        return (np.concatenate([v_tail, v_edge]) / self.c,
-                np.concatenate([logw_tail, logw_edge]) + self.extra_log)
+        edge, edge_logw, edge_v, (log_x, log_w, x_tail) = self._split_rules
+        lga, log2 = math.lgamma(a), math.log(2.0)
+        cols = []
+        for x in u.tolist():
+            lu = math.log(x)
+            cols.append((lu, -(z + a) * lu - lga, lu - log2, a * (lu - log2)))
+        lu, base, lu_half, edge_top = np.array(cols).T[:, :, None]
+        u_col = u[:, None]
+        v_edge = u_col * edge_v
+        logw_edge = base + edge_logw + edge.log_mass + z * np.log(v_edge) + edge_top
+        # the tail nodes increase, so the kept ones are a prefix
+        kept = np.count_nonzero(log_x < lu_half, axis=1).tolist()
+        counts = sorted(set(kept))
+        blocks = []
+        for m in counts:
+            rows = slice(None) if len(counts) == 1 else np.flatnonzero(np.equal(kept, m))
+            v_tail = x_tail[:m]
+            logw_tail = (base[rows] + (z + 1.0) * log_x[:m]
+                         + (a - 1.0) * (lu[rows] + np.log1p(-v_tail / u_col[rows])) + log_w[:m])
+            v = np.concatenate([np.broadcast_to(v_tail, logw_tail.shape), v_edge[rows]], axis=1)
+            blocks.append((rows, v / self.c,
+                           np.concatenate([logw_tail, logw_edge[rows]], axis=1) + self.extra_log))
+        return blocks
 
-    # -- dispatch: each rule is fetched once, when a point first needs it --
+    def _blocks(self, u: np.ndarray) -> list[tuple[np.ndarray | slice, np.ndarray, np.ndarray]]:
+        """(rows, nodes, log weights) blocks for an array of checked
+        coordinates: row i of a block's nodes and log weights belongs to
+        ``u[rows][i]``, except that the plain block shares one row of log
+        weights.  Each rule is fetched once, when a coordinate first needs
+        its regime."""
+        second, c = self.kind == "second", self.c
+        coords = u.tolist()
+        split = [c * x < _NEAR_FIELD for x in coords] if second else \
+            [x > _FAR_FIELD * c for x in coords]
+        n_split = sum(split)
+        blocks = []
+        if n_split:
+            rows = slice(None) if n_split == len(u) else np.flatnonzero(split)
+            if second:
+                blocks.append((rows, *self._near_second(c * u[rows])))
+            else:
+                index = np.arange(len(u))[rows]
+                blocks.extend((index[r], v, logw) for r, v, logw in self._far_first(u[rows]))
+        if n_split < len(u):
+            # plain: v = c*u/t (second kind) or u*t/c (first; nodes on (0, u/c))
+            rows = slice(None) if not n_split else np.flatnonzero(np.logical_not(split))
+            t, logw = self._plain
+            u_col = u[rows, None]
+            blocks.append((rows, c * u_col / t if second else u_col * t / c, logw))
+        return blocks
 
     def nodes_logw(self, u: float) -> tuple[np.ndarray, np.ndarray]:
-        if not 0.0 < u < math.inf:
-            raise DomainError(f"operator evaluation points must be finite and positive, got {u}")
-        # normalized weights may underflow to exact zeros at extreme
-        # exponents; their log is -inf and drops out of the final sums
-        second = self.kind == "second"
-        with np.errstate(divide="ignore"):
-            if second and self.c * u < _NEAR_FIELD:
-                return self._near_second(self.c * u)
-            if not second and u > _FAR_FIELD * self.c:
-                return self._far_first(u)
-            # plain: v = c*u/t (second kind) or u*t/c (first; nodes on (0, u/c))
-            t, logw = self._plain
-            return (self.c * u / t if second else u * t / self.c), logw
+        """Nodes and log weights of one coordinate."""
+        coords = np.array([u], dtype=float)
+        _check_coordinates(coords)
+        (_, v, logw), = self._blocks(coords)
+        return v[0], logw if logw.ndim == 1 else logw[0]
+
+    def sums(self, u: np.ndarray, factor: Callable[[np.ndarray], np.ndarray]):
+        """(sums, top log weights) for an array of checked coordinates: the
+        weighted sum of ``factor`` over each coordinate's nodes, with the
+        weights divided by exp(top).  One factor call per block; the rows
+        are summed by ``np.vecdot``, whose per-row order is that of one
+        coordinate alone (a matrix product's is not)."""
+        sums, tops = np.empty(len(u)), np.empty(len(u))
+        for rows, v, logw in self._blocks(u):
+            vals = _density_values(factor, v, v.shape)
+            if logw.ndim == 1:
+                top, w = self._plain_weights
+            else:
+                top = logw.max(axis=1)
+                w = np.exp(logw - top[:, None])
+            sums[rows] = np.vecdot(vals, w)
+            tops[rows] = top
+        return sums, tops
+
+
+# a plan's arrays are read-only, so one plan serves every evaluation with
+# its parameters, each rule built once, when a coordinate first needs it
+_plan = lru_cache(maxsize=256)(_DimQuad)
+
+
+def _log_weights(rule) -> np.ndarray:
+    """Log of a rule's normalized weights.  They may underflow to exact
+    zeros at extreme exponents; their log is -inf and drops out of the
+    final sums."""
+    with np.errstate(divide="ignore"):
+        return np.log(rule.weights_unit)
+
+
+def _check_coordinates(u: np.ndarray) -> None:
+    """DomainError naming the first coordinate of ``u`` (in C order) that
+    is not finite and positive."""
+    bad = next((x for x in u.ravel().tolist() if not 0.0 < x < math.inf), None)
+    if bad is not None:
+        raise DomainError(f"operator evaluation points must be finite and positive, got {bad}")
 
 
 def _zeta_alpha_c(p) -> tuple[float, float, float]:
@@ -359,29 +468,32 @@ def _dense_point(plans: Sequence[_DimQuad], point: Sequence[float],
     return _scaled(float(acc), scales, log_shift)
 
 
-def _separable_values(plans: Sequence[_DimQuad], points: list[list[float]],
+def _separable_values(plans: Sequence[_DimQuad], points: np.ndarray,
                       factors: Sequence[Callable[[np.ndarray], np.ndarray]],
                       log_shift: float) -> np.ndarray:
-    """Operator values at points of a product density: per point, the
-    product of one weighted factor sum per dimension.
+    """Operator values at the (m, k) points of a product density: per
+    point, the product of one weighted factor sum per dimension.
 
-    Sum j depends on coordinate j alone, so each dimension computes its
-    (sum, top log weight) once per distinct coordinate value and a tensor
-    grid of points costs one sum per grid line.  A point's new coordinates
-    get their nodes before any factor is called, so a bad coordinate is a
-    DomainError ahead of a density error, as for a single point.
+    Sum j depends on coordinate j alone, so each dimension sums its
+    distinct coordinates once, in one batch, and a tensor grid of points
+    costs one sum per grid line.  Every coordinate is checked before any
+    factor is called, so a bad coordinate is a DomainError ahead of a
+    density error.  Each point combines its k sums and top log weights
+    with the scalar arithmetic of :func:`_scaled`, so a batch gives each
+    point's single value bit for bit.
     """
-    sums: list[dict[float, tuple[float, float]]] = [{} for _ in plans]
-    out = np.empty(len(points))
-    for i, point in enumerate(points):
-        rules = [(j, u, plans[j].nodes_logw(u))
-                 for j, u in enumerate(point) if u not in sums[j]]
-        for j, u, (v, logw) in rules:
-            top = float(np.max(logw))
-            sums[j][u] = float(_density_values(factors[j], v, v.shape) @ np.exp(logw - top)), top
-        entries = [sums[j][u] for j, u in enumerate(point)]
-        out[i] = _scaled(math.prod(s for s, _ in entries), [top for _, top in entries], log_shift)
-    return out
+    _check_coordinates(points)
+    total, tops = None, []
+    for plan, factor, u in zip(plans, factors, points.T):
+        if len(u) == 1:
+            s, top = plan.sums(u, factor)
+        else:
+            distinct, inverse = np.unique(u, return_inverse=True)
+            s, top = (a[inverse] for a in plan.sums(distinct, factor))
+        total = s if total is None else total * s
+        tops.append(top)
+    return np.array([_scaled(t, scales, log_shift)
+                     for t, scales in zip(total.tolist(), zip(*(top.tolist() for top in tops)))])
 
 
 def eval_many(kind: str, params, f: MultiDensity, points,
@@ -404,12 +516,11 @@ def eval_many(kind: str, params, f: MultiDensity, points,
         raise ShapeError(f"points must have {k} coordinates")
     if f.factors is None:
         check_grid(n, k)
-    plans = [_DimQuad(kind, *_zeta_alpha_c(p), n) for p in params]
-    rows = points.tolist()
+    plans = [_plan(kind, *_zeta_alpha_c(p), n) for p in params]
     if f.factors is not None:
-        out = _separable_values(plans, rows, f.factors, log_shift)
+        out = _separable_values(plans, points, f.factors, log_shift)
     else:
-        out = np.array([_dense_point(plans, pt, f.pdf, log_shift) for pt in rows])
+        out = np.array([_dense_point(plans, pt, f.pdf, log_shift) for pt in points.tolist()])
     return out[0] if single else out
 
 
@@ -460,9 +571,16 @@ pathway_kober1_eval = kober1_eval
 def operator_image(kind: str, params, f: MultiDensity,
                    n: int = DEFAULT_NODES) -> MultiDensity:
     """The operator applied to ``f``, wrapped as an evaluable density-like
-    object (used by Mellin checks and operator composition)."""
+    object (used by Mellin checks and operator composition).
+
+    When ``f`` has factors, so has the image: the operator acts on each
+    coordinate alone, and factor j is the one-dimensional operator of
+    dimension j applied to f's factor j.
+    """
     params = tuple(params)
     k = len(params)
+    if k != f.dim:
+        raise ShapeError(f"density dimension {f.dim} != parameter count {k}")
 
     def pdf(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -470,8 +588,16 @@ def operator_image(kind: str, params, f: MultiDensity,
         vals = eval_many(kind, params, f, flat, n)
         return np.asarray(vals).reshape(pts.shape[:-1])
 
+    def factor(p, f_j: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+        def image_j(x: np.ndarray) -> np.ndarray:
+            x = np.asarray(x, dtype=float)
+            plan = _plan(kind, *_zeta_alpha_c(p), n)
+            return _separable_values([plan], x.reshape(-1, 1), (f_j,), 0.0).reshape(x.shape)
+        return image_j
+
     tail = "exp" if (kind == "second" and f.tail == "exp") else "algebraic"
-    return MultiDensity(dim=k, pdf=pdf, tail=tail, name=f"{kind}-kind image of {f.name or 'f'}")
+    return MultiDensity(dim=k, pdf=pdf, tail=tail, name=f"{kind}-kind image of {f.name or 'f'}",
+                        factors=None if f.factors is None else tuple(map(factor, params, f.factors)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,13 @@ The node layout follows the integrand's tail type, and the integrand is
 assembled in log space, so algebraic endpoint behavior x^(s-1+e) with
 non-integer e costs no accuracy.
 
+A density with factors (every ``gamma_product``, and the operator image of
+one) is a product of one-dimensional functions, and so is its transform:
+the sum over the n^k grid becomes a product of k sums of n terms, each
+dimension's sums taken for all s-points at once, with no n^k node budget.
+Any other density is summed over the n^k grid, within the operators' node
+budget.
+
 The factorization check compares the numeric Mellin transform of an
 operator image against the closed-form gamma-ratio multiplier times the
 density's own transform, point by point over an admissible s-grid.
@@ -48,34 +55,62 @@ class MellinResult:
     converged: bool | None = None
 
 
-def _mellin_values(f: MultiDensity, s_points: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """Mellin transform of ``f`` at each s-vector, sharing one pdf sweep."""
-    k = f.dim
-    check_grid(n, k)
-    axes = [semiaxis_log_rule(n, f.tail)] * k
-    mesh = np.meshgrid(*[np.exp(lx) for lx, _ in axes], indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    vals = _density_values(f.pdf, pts, pts.shape[:-1])
+def _check_nonnegative(vals: np.ndarray, pts: np.ndarray, what: str) -> None:
+    """EvaluationError naming the first node where ``vals`` is negative."""
     if (vals < 0.0).any():
         idx = np.unravel_index(int(np.argmax(vals < 0.0)), vals.shape)
-        raise EvaluationError(f"density is negative at {pts[idx]!r}", point=pts[idx])
+        raise EvaluationError(f"{what} is negative at {pts[idx]!r}", point=pts[idx])
+
+
+def _exp_sum(z: np.ndarray, axis=None) -> np.ndarray:
+    """Sum of exp(z) over ``axis``.  A term past the float range raises
+    FloatingPointError; one below it underflows to 0, which is its correct
+    share of the sum."""
+    with np.errstate(over="raise"):
+        return np.sum(np.exp(z.real) * (np.cos(z.imag) + 1j * np.sin(z.imag)), axis=axis)
+
+
+def _mellin_values(f: MultiDensity, s_points: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Mellin transform of ``f`` at each s-vector.
+
+    A product density's transform is the product of its factors'
+    transforms: each dimension takes one factor sweep over the n semi-axis
+    nodes and sums it for every s-point at once.  Any other density takes
+    one pdf sweep over the n^k tensor grid, shared by all s-points.
+    """
+    k = f.dim
+    if f.factors is None:
+        check_grid(n, k)
+    lx, lw = semiaxis_log_rule(n, f.tail)
+    x = np.exp(lx)
+    if f.factors is not None:
+        s = np.reshape(np.asarray(s_points, dtype=complex), (-1, k))
+        out = np.ones(len(s), dtype=complex)
+        for j, factor in enumerate(f.factors):
+            vals = _density_values(factor, x, x.shape)
+            _check_nonnegative(vals, x[:, None], f"density factor {j}")
+            with np.errstate(divide="ignore"):
+                log_terms = np.log(vals) + lw
+            with np.errstate(over="raise"):
+                out = out * _exp_sum(log_terms + s[:, j, None] * lx, axis=-1)
+        return out
+    pts = np.stack(np.meshgrid(*[x] * k, indexing="ij"), axis=-1)
+    vals = _density_values(f.pdf, pts, pts.shape[:-1])
+    _check_nonnegative(vals, pts, "density")
     with np.errstate(divide="ignore"):
         log_vals = np.log(vals)
-    for j, (_, lw) in enumerate(axes):
+    for j in range(k):
         shape = [1] * k
         shape[j] = -1
         log_vals = log_vals + lw.reshape(shape)
     out = np.empty(len(s_points), dtype=complex)
     for i, s in enumerate(s_points):
         z = log_vals.astype(complex)
-        for j, (lx, _) in enumerate(axes):
+        for j in range(k):
             shape = [1] * k
             shape[j] = -1
             z = z + s[j] * lx.reshape(shape)
-        # a term past the float range raises FloatingPointError; one below
-        # it underflows to 0, which is its correct share of the sum
-        with np.errstate(over="raise"):
-            out[i] = np.sum(np.exp(z.real) * (np.cos(z.imag) + 1j * np.sin(z.imag)))
+        out[i] = _exp_sum(z)
     return out
 
 
@@ -207,8 +242,10 @@ def mellin_factorization_check(
     against the gamma-ratio multiplier times f's closed-form transform.
 
     ``f`` must carry a closed-form Mellin transform; the operator image is
-    evaluated pointwise by quadrature (one sweep shared by all grid
-    points), so the two sides are computed along genuinely different routes.
+    evaluated by quadrature at the semi-axis nodes (for a product density,
+    one dimension at a time at the n nodes of each axis; otherwise over the
+    n^k grid, in one sweep shared by all s-points), so the two sides are
+    computed along genuinely different routes.
     """
     params = tuple(params)
     if not 0.0 < tol < math.inf:

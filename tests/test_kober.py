@@ -301,7 +301,9 @@ class TestEvaluationPlumbing:
     ])
     def test_rules_are_built_once_per_plan(self, monkeypatch, kind, zeta, points, rule_calls):
         # each rule once per plan, and only once a point enters its regime:
-        # plain, split edge, and (first kind) split tail
+        # plain, split edge, and (first kind) split tail; plans are cached,
+        # so the cache is emptied first
+        kober._plan.cache_clear()
         calls = []
         for name in ("jacobi_rule", "semiaxis_log_rule"):
             def counted(*args, _rule=getattr(kober, name), **kw):
@@ -311,6 +313,16 @@ class TestEvaluationPlumbing:
         pts = np.array(points)[:, None]
         eval_many(kind, [DimParams(zeta, 1.5)], gamma_product((2.0,)), pts)
         assert len(calls) == rule_calls
+
+    def test_cached_plan_arrays_are_read_only(self):
+        for kind, u in (("second", [0.01, 1.0]), ("first", [1.0, 300.0, 1e4])):
+            plan = kober._plan(kind, 1.5, 0.7, 1.0, 64)
+            assert plan is kober._plan(kind, 1.5, 0.7, 1.0, 64)
+            plan.sums(np.array(u), lambda x: np.exp(-x))  # builds every rule of both regimes
+            edge, edge_logw, edge_v, tail = plan._split_rules
+            arrays = [*plan._plain, plan._plain_weights[1], edge.nodes, edge.weights_unit,
+                      edge_logw, edge_v, *tail]
+            assert not any(a.flags.writeable for a in arrays)
 
     def test_dimension_cap(self, monkeypatch):
         # the default budget admits refined k=3 at n=64 and refuses k=4
@@ -439,7 +451,7 @@ def _counted_factors(f: MultiDensity, calls: list) -> MultiDensity:
     """``f`` with each factor call recorded in ``calls`` as (dimension, nodes)."""
     def counted(j, fj):
         def factor(x):
-            calls.append((j, len(x)))
+            calls.append((j, np.size(x)))
             return fj(x)
         return factor
     return dataclasses.replace(f, pdf=_pdf_not_called,
@@ -475,8 +487,8 @@ class TestSeparableBatches:
         pts = np.stack(np.meshgrid(axis, axis[::-1], indexing="ij"), axis=-1).reshape(-1, 2)
         vals = eval_many("second", [DimParams(0.5, 0.7), DimParams(1.0, 1.3)], f, pts)
         assert vals.shape == (4096,) and np.all(vals > 0.0)
-        assert len(calls) == 128
-        assert sorted(j for j, _ in calls) == [0] * 64 + [1] * 64
+        # 64 distinct coordinates per dimension, 64 nodes each
+        assert [sum(m for j, m in calls if j == d) for d in (0, 1)] == [64 * 64] * 2
 
     def test_mellin_check_sums_each_grid_line_once(self):
         # the k=2 check evaluates the operator image on a 64 x 64 grid
@@ -485,7 +497,7 @@ class TestSeparableBatches:
         report = mellin_factorization_check(
             "second", [DimParams(0.5, 0.7), DimParams(1.0, 1.3)], f, n=64)
         assert report.passed
-        assert len(calls) == 128
+        assert [sum(m for j, m in calls if j == d) for d in (0, 1)] == [64 * 64] * 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_bad_coordinate_after_good_points(self, bad):

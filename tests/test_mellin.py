@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from ekstat import mellin
-from ekstat.errors import EvaluationError, PoleError, UsageError
-from ekstat.kober import DimParams, MultiDensity, exponential_product, gamma_product
+from ekstat import mellin, quadrature
+from ekstat.errors import EvaluationError, PoleError, SizeError, UsageError
+from ekstat.kober import DimParams, MultiDensity, exponential_product, gamma_product, operator_image
 from ekstat.mellin import (
     default_s_grid,
     kober_mellin_ratio,
@@ -157,3 +158,86 @@ class TestFactorizationCheck:
         doc = rep.to_dict()
         assert doc["pass"] is True
         assert doc["points"][0]["s"][0]["re"] == pytest.approx(2.0)
+
+
+class TestFactoredMellinSum:
+    """A product density's Mellin sum is a product of one-dimensional sums;
+    the sum over the n^k tensor grid of the joint pdf is its oracle."""
+
+    CASES = {
+        "second": ((0.5, 0.7), (1.0, 1.3), (0.8, 1.2)),
+        "first": ((1.5, 1.0), (2.0, 0.7), (1.2, 1.3)),
+    }
+
+    @pytest.mark.parametrize("k, n", [(2, 64), (3, 32)])
+    @pytest.mark.parametrize("kind", ["second", "first"])
+    def test_equals_the_tensor_grid_sum(self, kind, k, n):
+        params = [DimParams(*za) for za in self.CASES[kind][:k]]
+        image = operator_image(kind, params, gamma_product((2.0, 3.0, 4.0)[:k]), n)
+        grid = default_s_grid(kind, params)
+        factored = mellin._mellin_values(image, grid, n)
+        dense = mellin._mellin_values(dataclasses.replace(image, factors=None), grid, n)
+        np.testing.assert_allclose(factored, dense, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["second", "first"])
+    def test_image_factors_multiply_to_the_image(self, kind):
+        params = [DimParams(*za) for za in self.CASES[kind]]
+        image = operator_image(kind, params, gamma_product((2.0, 3.0, 4.0)))
+        # every regime of both kinds: near field below 0.25, far field above 100
+        axis = np.geomspace(1e-3, 1e3, 9)
+        pts = np.stack(np.meshgrid(axis, axis[::-1], axis[::2].repeat(2)[:9],
+                                   indexing="ij"), axis=-1).reshape(-1, 3)
+        product = np.prod([g(pts[:, j]) for j, g in enumerate(image.factors)], axis=0)
+        np.testing.assert_allclose(product, image.pdf(pts), rtol=1e-14, atol=0.0)
+
+    @staticmethod
+    def pair(factor):
+        """A two-dimensional density with factors exp(-x) and ``factor``, and
+        the same density without factors."""
+        joint = lambda p: np.exp(-p[..., 0]) * factor(p[..., 1])
+        f = MultiDensity(dim=2, pdf=joint, factors=(lambda x: np.exp(-x), factor))
+        return f, dataclasses.replace(f, factors=None)
+
+    def nodes(self):
+        return np.exp(mellin.semiaxis_log_rule(mellin.DEFAULT_NODES, "exp")[0])
+
+    def test_negative_factor_raises_naming_the_node(self):
+        factored, dense = self.pair(lambda x: np.where(x > 5.0, -1.0, 1.0) * np.exp(-x))
+        first = self.nodes()[self.nodes() > 5.0][0]
+        for f, what in ((factored, "density factor 1"), (dense, "density")):
+            with pytest.raises(EvaluationError, match=f"{what} is negative") as info:
+                mellin_numeric(f, [2.0, 2.0])
+            assert info.value.point[-1] == first
+
+    def test_non_finite_factor_raises_naming_the_node(self):
+        factored, dense = self.pair(lambda x: np.where(x > 5.0, np.nan, np.exp(-x)))
+        first = self.nodes()[self.nodes() > 5.0][0]
+        for f in (factored, dense):
+            with pytest.raises(EvaluationError, match="not finite") as info:
+                mellin_numeric(f, [2.0, 2.0])
+            assert np.ravel(info.value.point)[-1] == first
+
+    def test_overflowing_factor_raises(self):
+        factored, dense = self.pair(lambda x: x * np.exp(-x))
+        for f in (factored, dense):
+            with pytest.raises(FloatingPointError):
+                mellin_numeric(f, [2.0, 200.0])
+
+    def test_overflowing_product_raises(self):
+        # each one-dimensional sum is finite (about 1e187), their product is not
+        f = gamma_product((2.0, 2.0))
+        assert math.isfinite(mellin_numeric(gamma_product((2.0,)), 110.0, refine=False).value.real)
+        with pytest.raises(FloatingPointError):
+            mellin_numeric(f, [110.0, 110.0], refine=False)
+
+    def test_non_product_density_over_budget_is_refused(self, monkeypatch):
+        # only a product density escapes the n^k budget; the refusal comes
+        # before any rule is built
+        def fail(*args, **kwargs):
+            raise AssertionError("rule builder called")
+        monkeypatch.setattr(quadrature, "_jacobi_rule_cached", fail)
+        monkeypatch.setattr(mellin, "semiaxis_log_rule", fail)
+        f = dataclasses.replace(gamma_product((2.0, 3.0, 4.0)), factors=None)
+        params = [DimParams(*za) for za in self.CASES["second"]]
+        with pytest.raises(SizeError, match="over the budget"):
+            mellin_factorization_check("second", params, f, n=256)
