@@ -317,14 +317,11 @@ def dirichlet_draws(gen: np.random.Generator, count: int, p: DirichletParams) ->
     return g[:, :p.dim] / np.sum(g, axis=1, keepdims=True)
 
 
-def _beta_rows(triples, n: int, seed: int, workers: int,
-               triangular: bool = False) -> SampleMatrix:
+def _beta_rows(triples, n: int, seed: int, workers: int) -> SampleMatrix:
     """Rows of independent Beta(first, second)/c draws, one column per
-    ``(first, second, c)`` triple, pushed through the inverse triangular map
-    when ``triangular``; deterministic given ``seed``."""
+    ``(first, second, c)`` triple; deterministic given ``seed``."""
     draw = lambda gen, count: beta_product_draws(gen, count, triples)
-    rows = (lambda gen, count: transforms.inverse(draw(gen, count))) if triangular else draw
-    return SampleMatrix(map_rows(rows, seed, n, len(triples), workers), seed)
+    return SampleMatrix(map_rows(draw, seed, n, len(triples), workers), seed)
 
 
 def beta1_sample(p: BetaParams, n: int, seed: int, workers: int = 1) -> SampleMatrix:
@@ -341,8 +338,9 @@ def dirichlet1_sample(p: DirichletParams, n: int, seed: int, workers: int = 1) -
 def gen_dirichlet1_sample(p: GenDirichletParams, n: int, seed: int, workers: int = 1) -> SampleMatrix:
     """Generalized Dirichlet rows: independent betas pushed through the
     inverse triangular map."""
-    pairs = transforms.ratio_beta_pairs(p.alphas, p.betas)
-    return _beta_rows([(f, s, 1.0) for f, s in pairs], n, seed, workers, triangular=True)
+    triples = [(f, s, 1.0) for f, s in transforms.ratio_beta_pairs(p.alphas, p.betas)]
+    draw = lambda gen, count: transforms.inverse(beta_product_draws(gen, count, triples))
+    return SampleMatrix(map_rows(draw, seed, n, p.dim, workers), seed)
 
 
 def pathway_sample(p: PathwayDimParams, n: int, seed: int, workers: int = 1) -> SampleMatrix:

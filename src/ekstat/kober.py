@@ -30,17 +30,20 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from . import transforms
 from .densities import (
     DirichletParams,
     GenDirichletParams,
     PathwayDimParams,
     SampleMatrix,
     _gamma_cols,
+    beta_product_draws,
     check_finite,
+    dirichlet_draws,
 )
 from .errors import (
     DomainError,
@@ -59,7 +62,6 @@ from .quadrature import (
     semiaxis_log_rule,
 )
 from .streams import map_rows
-from .transforms import ratio_beta_pairs
 
 # Most tensor nodes one dense evaluation or Mellin sum may build: (n nodes
 # per dimension)**k.
@@ -271,20 +273,26 @@ class _DimQuad:
     # per-coordinate scalars go through math, as for one coordinate, and
     # numpy takes only the arithmetic of whole rows.
 
-    def _near_second(self, u_eff: np.ndarray):
-        """Second kind for values c*u below :data:`_NEAR_FIELD`: nodes and
-        log weights, one row per value.
+    def _near_second(self, u: np.ndarray):
+        """Second kind for coordinates u with c*u below :data:`_NEAR_FIELD`:
+        nodes and log weights, one row per coordinate.
 
         Edge part: v in (u, 2u) with the kernel power exact; tail part:
         v in (2u, inf) on scale-adapted nodes with a double-exponentially
-        damped approach to 2u.
+        damped approach to 2u.  A coordinate so small that 350/(c*u)
+        overflows (or c*u underflows) is a DomainError: the tail would
+        reach v = inf.
         """
         z, a = self.zeta, self.alpha
         edge, edge_logw, edge_v, _ = self._split_rules
         lga = math.lgamma(a)
         m = self.n - len(edge.nodes)
+        u_eff = self.c * u
         cols = []
-        for x in u_eff.tolist():
+        for x, point in zip(u_eff.tolist(), u.tolist()):
+            if x == 0.0 or 350.0 / x == math.inf:
+                raise DomainError(f"second-kind evaluation point {point} is too small: "
+                                  f"its near-field tail grid would reach v = inf")
             lu = math.log(x)
             # the tail's w-grid is np.linspace(LO, w_hi, m), reaching past v = 350
             w_hi = max(_EXP_SINH_HI, math.log(350.0 / x))
@@ -357,7 +365,7 @@ class _DimQuad:
         if n_split:
             rows = slice(None) if n_split == len(u) else np.flatnonzero(split)
             if second:
-                blocks.append((rows, *self._near_second(c * u[rows])))
+                blocks.append((rows, *self._near_second(u[rows])))
             else:
                 index = np.arange(len(u))[rows]
                 blocks.extend((index[r], v, logw) for r, v, logw in self._far_first(u[rows]))
@@ -636,52 +644,71 @@ DIRICHLET = Family("dirichlet", DirichletParams, per_dim=False, scalars=("alpha_
 GEN_DIRICHLET = Family("gen-dirichlet", GenDirichletParams, per_dim=False)
 
 
-class BetaLaws(NamedTuple):
-    """Per dimension ``(first, second, c)``: the mixing coordinate (its
-    ratio coordinate, for a triangular identity) is Beta(first, second)/c.
-    ``printed``: the pairs of the source's as-printed reading, if any."""
+@dataclass(frozen=True)
+class MixingLaw:
+    """The law of an identity's mixing coordinates y: column j is
+    Beta(first, second)/c for the triple ``triples[j]``, independent
+    across j.  ``dirichlet`` is set for 1.2/2.4, whose mixing vector is a
+    type-1 Dirichlet: y is the triangular map of its draws, and the
+    triples (c = 1) are the laws of those ratio coordinates."""
 
+    kind: str
     triples: tuple[tuple[float, float, float], ...]
-    printed: tuple[tuple[float, float], ...] | None = None
-    note: str = ""
+    dirichlet: DirichletParams | None = None
+
+    def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` rows of y from ``gen``."""
+        if self.dirichlet is not None:
+            return transforms.forward(dirichlet_draws(gen, count, self.dirichlet))
+        return beta_product_draws(gen, count, self.triples)
+
+    def setup(self):
+        """(kind, operator dims, log constant): per dimension ``zeta =
+        first - [kind == second]``, ``alpha = second``, support factor c,
+        and the constant ``prod Gamma(first) c^-first / Gamma(first + second)``."""
+        if not all(f > 0.0 and s > 0.0 for f, s, _ in self.triples):
+            raise ParameterError(f"mixing beta laws (first, second, c) need positive "
+                                 f"first and second, got {self.triples}")
+        shift = 1.0 if self.kind == "second" else 0.0
+        dims = tuple(ScaledDimParams(f - shift, s, c) for f, s, c in self.triples)
+        # keep this order of operations: reports depend on the constant bit for bit
+        log_c = sum(math.lgamma(f) - f * math.log(c) - math.lgamma(f + s)
+                    for f, s, c in self.triples)
+        return self.kind, dims, log_c
 
 
 @dataclass(frozen=True)
 class Identity:
-    """One catalogued identity: with f-draws v and y = x (or the
-    triangular map of x), u = y * v (second kind) or v / y (first kind) has
-    the density ``kind`` operator(f) / :func:`identity_setup` constant.
-    ``defaults``: the family's field values for k <= 3."""
+    """One catalogued identity: with f-draws v and mixing draws y
+    (:meth:`law`), u = y * v (second kind) or v / y (first kind) has the
+    density ``kind`` operator(f) / :func:`identity_setup` constant.
+    ``defaults``: the family's field values for k <= 3.  ``printed`` maps
+    the family record and the derived (first, second) pairs to the
+    source's as-printed reading, which ``printed_note`` describes."""
 
     kind: str
     family: Family
     defaults: dict
-    beta: Callable[[object], BetaLaws]
-    triangular: bool = False
+    printed: Callable | None = None
+    printed_note: str = ""
     notes: tuple[str, ...] = ()
 
     @property
     def combine(self) -> str:
         step = "product" if self.kind == "second" else "ratio"
-        return "transformed-" + step if self.triangular else step
+        return step if self.family.per_dim else "transformed-" + step
 
-
-def _per_dim_laws(shift: float) -> Callable[[object], BetaLaws]:
-    """Beta laws of per-dimension operator parameters: first = zeta + shift,
-    with shift = 1 for the second kind."""
-    return lambda p: BetaLaws(tuple((z + shift, a, c) for z, a, c in map(_zeta_alpha_c, p)))
-
-
-def _dirichlet_laws(printed: Callable | None = None,
-                    note: str = "") -> Callable[[object], BetaLaws]:
-    """Beta laws of a Dirichlet-type record: its ratio coordinates follow
-    :func:`ratio_beta_pairs`.  ``printed`` maps the record and those pairs
-    to the source's as-printed reading, which ``note`` describes."""
-    def laws(p) -> BetaLaws:
-        pairs = ratio_beta_pairs(p.alphas, p.betas)
-        return BetaLaws(tuple((f, s, 1.0) for f, s in pairs),
-                        printed(p, pairs) if printed else None, note)
-    return laws
+    def law(self, params) -> MixingLaw:
+        """The mixing law of the family record ``params``: per dimension
+        (zeta + shift, alpha, c), shift = 1 for the second kind, or the
+        ratio coordinates' :func:`~ekstat.transforms.ratio_beta_pairs`."""
+        if self.family.per_dim:
+            shift = 1.0 if self.kind == "second" else 0.0
+            return MixingLaw(self.kind, tuple((z + shift, a, c)
+                                              for z, a, c in map(_zeta_alpha_c, params)))
+        pairs = transforms.ratio_beta_pairs(params.alphas, params.betas)
+        return MixingLaw(self.kind, tuple((f, s, 1.0) for f, s in pairs),
+                         params if isinstance(params, DirichletParams) else None)
 
 
 def _printed_1_3(p, pairs):
@@ -702,27 +729,20 @@ def _printed_2_5(p, pairs):
 _PATHWAY_DEFAULTS = {"a": (1.0, 1.5, 1.0), "q": (0.5, 0.25, 0.5), "eta": (1.0, 2.0, 1.0)}
 
 IDENTITIES = {
-    "1.1": Identity(
-        "second", CLASSICAL, {"zeta": (0.5, 1.0, 0.8), "alpha": (1.5, 0.7, 1.2)},
-        _per_dim_laws(1.0)),
-    "1.2": Identity(
-        "second", DIRICHLET, {"alphas": (0.5, 1.0, 0.5), "alpha_last": 2.0},
-        _dirichlet_laws(), triangular=True),
+    "1.1": Identity("second", CLASSICAL, {"zeta": (0.5, 1.0, 0.8), "alpha": (1.5, 0.7, 1.2)}),
+    "1.2": Identity("second", DIRICHLET, {"alphas": (0.5, 1.0, 0.5), "alpha_last": 2.0}),
     "1.3": Identity(
         "second", GEN_DIRICHLET, {"alphas": (0.5, 1.0, 0.5), "betas": (1.0, 2.0, 1.5)},
-        _dirichlet_laws(_printed_1_3, "printed running sum stops one alpha term early"),
-        triangular=True),
+        _printed_1_3, "printed running sum stops one alpha term early"),
     "1.4": Identity(
-        "second", PATHWAY, {**_PATHWAY_DEFAULTS, "zeta": (0.0, 0.8, 0.5)}, _per_dim_laws(1.0),
+        "second", PATHWAY, {**_PATHWAY_DEFAULTS, "zeta": (0.0, 0.8, 0.5)},
         notes=("second-kind pathway kernel includes the inverse power "
                "v^-(zeta + eta/(1-q) + 1) from the product construction; the "
                "density constant carries the factor [a(1-q)]^-(zeta+1) alongside "
                "the gamma ratio",)),
-    "2.1": Identity(
-        "first", CLASSICAL, {"zeta": (1.5, 2.0, 1.2), "alpha": (1.0, 0.7, 1.3)},
-        _per_dim_laws(0.0)),
+    "2.1": Identity("first", CLASSICAL, {"zeta": (1.5, 2.0, 1.2), "alpha": (1.0, 0.7, 1.3)}),
     "2.3": Identity(
-        "first", PATHWAY, {**_PATHWAY_DEFAULTS, "zeta": (1.5, 1.0, 2.0)}, _per_dim_laws(0.0),
+        "first", PATHWAY, {**_PATHWAY_DEFAULTS, "zeta": (1.5, 1.0, 2.0)},
         notes=("first-kind pathway upper limit is u/(a(1-q)), where the kernel "
                "factor u - a(1-q)v vanishes; the alternative reading "
                "u/(1-a(1-q)) is sign-indefinite for a(1-q) >= 1 and is not used",
@@ -731,14 +751,11 @@ IDENTITIES = {
     # sampling exponents: the catalogued alphas (2, 3, 2) minus one
     "2.4": Identity(
         "first", DIRICHLET, {"alphas": (1.0, 2.0, 1.0), "alpha_last": 1.0},
-        _dirichlet_laws(_printed_2_4, "printed second parameters omit the final simplex "
-                        "exponent; the last pair degenerates to zero there"),
-        triangular=True),
+        _printed_2_4, "printed second parameters omit the final simplex "
+        "exponent; the last pair degenerates to zero there"),
     "2.5": Identity(
         "first", GEN_DIRICHLET, {"alphas": (1.0, 2.0, 1.0), "betas": (1.0, 2.0, 1.5)},
-        _dirichlet_laws(_printed_2_5, "printed and derivation-consistent parameter sums "
-                        "coincide"),
-        triangular=True),
+        _printed_2_5, "printed and derivation-consistent parameter sums coincide"),
 }
 IDENTITY_IDS = tuple(IDENTITIES)
 
@@ -747,22 +764,6 @@ def identity_record(theorem: str) -> Identity:
     if theorem not in IDENTITIES:
         raise UsageError(f"unknown identity id {theorem!r}; expected one of {IDENTITY_IDS}")
     return IDENTITIES[theorem]
-
-
-def setup_from_triples(kind: str, triples):
-    """(kind, operator dims, log constant) for mixing coordinates
-    Beta(first, second)/c: per dimension ``zeta = first - [kind ==
-    second]``, ``alpha = second``, support factor c, and the constant
-    ``prod Gamma(first) c^-first / Gamma(first + second)``."""
-    triples = tuple(triples)
-    if not all(f > 0.0 and s > 0.0 for f, s, _ in triples):
-        raise ParameterError(f"mixing beta laws (first, second, c) need positive "
-                             f"first and second, got {triples}")
-    shift = 1.0 if kind == "second" else 0.0
-    dims = tuple(ScaledDimParams(f - shift, s, c) for f, s, c in triples)
-    # keep this order of operations: reports depend on the constant bit for bit
-    log_c = sum(math.lgamma(f) - f * math.log(c) - math.lgamma(f + s) for f, s, c in triples)
-    return kind, dims, log_c
 
 
 def identity_setup(theorem: str, params):
@@ -780,7 +781,7 @@ def identity_setup(theorem: str, params):
     records = params if fam.per_dim and isinstance(params, (tuple, list)) else [params]
     if not all(isinstance(p, fam.params_type) for p in records):
         raise UsageError(f"identity {theorem} takes {fam.params_type.__name__} parameters")
-    return setup_from_triples(rec.kind, rec.beta(params).triples)
+    return rec.law(params).setup()
 
 
 # ---------------------------------------------------------------------------

@@ -23,23 +23,17 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import transforms
-from .densities import (
-    DirichletParams,
-    SampleMatrix,
-    beta_product_draws,
-    dirichlet_draws,
-)
+from .densities import SampleMatrix
 from .errors import ParameterError, ShapeError, SizeError, UsageError
 from .kober import (
     IDENTITY_IDS,
+    MixingLaw,
     MultiDensity,
     check_nodes,
     eval_many,
     gamma_product,
     identity_record,
     identity_setup,
-    setup_from_triples,
 )
 from .quadrature import DEFAULT_NODES
 from .streams import map_rows
@@ -86,9 +80,11 @@ class TheoremSpec:
     """One identity check: id, mixing parameters, and the density f.
 
     ``params`` is the parameter record of the identity's mixing family (see
-    :data:`ekstat.kober.IDENTITIES`).  For 2.4/2.5 the record holds the
-    actual sampling exponents (the catalogued parameters shifted down by
-    one).
+    :data:`ekstat.kober.IDENTITIES`); the identity's mixing law, which
+    ``simulate``, the density constant and the candidates all read, follows
+    from it (:meth:`ekstat.kober.Identity.law`).  For 2.4/2.5 the record
+    holds the actual sampling exponents (the catalogued parameters shifted
+    down by one).
     """
 
     theorem: str
@@ -136,28 +132,20 @@ def make_spec(theorem: str, k: int, params=None, f: MultiDensity | None = None) 
 def simulate(spec: TheoremSpec, n: int, seed: int, workers: int = 1) -> SampleMatrix:
     """Draws of the combined vector u, exactly per the identity's construction.
 
-    Each block of rows draws the mixing vector x first and then the
-    f-draw v, from the block's generator.  The ratio coordinates y are x,
-    or the triangular map of x for a triangular identity, whose betas are
-    drawn as the ratio coordinates of x; u is y * v (second kind) or v / y
-    (first kind).  Every stage is row-wise, so each block runs the whole
-    construction on its own generator.
+    Each block of rows draws the mixing coordinates y from the identity's
+    mixing law (:meth:`ekstat.kober.Identity.law`) first and then the
+    f-draw v, from the block's generator; u is y * v (second kind) or
+    v / y (first kind).  Every stage is row-wise, so each block runs the
+    whole construction on its own generator.
     """
     if spec.f.from_uniforms is None:
         raise UsageError("the identity's density f carries no sampler")
-    rec = identity_record(spec.theorem)
-    dirichlet = isinstance(spec.params, DirichletParams)
-    triples = None if dirichlet else rec.beta(spec.params).triples
+    law = identity_record(spec.theorem).law(spec.params)
 
     def rows(gen, count):
-        if dirichlet:
-            x = dirichlet_draws(gen, count, spec.params)
-        else:
-            x = beta_product_draws(gen, count, triples)
-            x = transforms.inverse(x) if rec.triangular else x
+        y = law.draw(gen, count)
         v = spec.f.from_uniforms(gen, count)
-        y = transforms.forward(x) if rec.triangular else x
-        return y * v if rec.kind == "second" else v / y
+        return y * v if law.kind == "second" else v / y
 
     return SampleMatrix(map_rows(rows, seed, n, spec.k, workers), seed)
 
@@ -356,7 +344,7 @@ class Candidate:
 
     def setup(self):
         """(kind, operator dims, log constant) of this reading."""
-        return setup_from_triples(self.kind, ((f, s, 1.0) for f, s in self.pairs))
+        return MixingLaw(self.kind, tuple((f, s, 1.0) for f, s in self.pairs)).setup()
 
     def dim_params(self):
         return self.setup()[1]
@@ -366,12 +354,12 @@ def identity_candidates(spec: TheoremSpec) -> list[Candidate]:
     """Derivation-consistent and as-printed parameter sets, for the
     identities whose source prints a second reading."""
     rec = identity_record(spec.theorem)
-    laws = rec.beta(spec.params)
-    if laws.printed is None:
+    if rec.printed is None:
         return []
-    derived = tuple((f, s) for f, s, _ in laws.triples)
+    derived = tuple((f, s) for f, s, _ in rec.law(spec.params).triples)
     return [Candidate("derivation-consistent", derived, rec.kind),
-            Candidate("as-printed", laws.printed, rec.kind, note=laws.note)]
+            Candidate("as-printed", rec.printed(spec.params, derived), rec.kind,
+                      note=rec.printed_note)]
 
 
 # ---------------------------------------------------------------------------

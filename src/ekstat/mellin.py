@@ -30,7 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EvaluationError, ParameterError, PoleError, ShapeError, UsageError
-from .kober import DimParams, MultiDensity, _density_values, check_grid, check_nodes, operator_image
+from .kober import (DimParams, MultiDensity, _density_values, _zeta_alpha_c, check_grid,
+                    check_nodes, operator_image)
 from .quadrature import DEFAULT_NODES, semiaxis_log_rule
 
 _BASE_GRID = (0.8, 1.5, 2.0, 3.0, 1.5 + 0.5j)
@@ -138,6 +139,10 @@ def kober_mellin_ratio(kind: str, params: Sequence[DimParams], s) -> complex:
 
     Second kind: ``prod Gamma(zeta_j + s_j) / Gamma(alpha_j + zeta_j + s_j)``;
     first kind: ``prod Gamma(1 + zeta_j - s_j) / Gamma(1 + alpha_j + zeta_j - s_j)``.
+    A support factor c_j != 1 (pathway parameters, or the scaled dims of
+    :func:`ekstat.kober.identity_setup`) multiplies dimension j by
+    ``c_j^-(zeta_j + s_j)`` (second kind) or ``c_j^(s_j - zeta_j - 1)``
+    (first kind): the operator is the classical one at c*u or u/c.
     """
     from scipy.special import loggamma  # complex Gamma; scipy loads on the first check
 
@@ -147,10 +152,11 @@ def kober_mellin_ratio(kind: str, params: Sequence[DimParams], s) -> complex:
         raise ShapeError("s must supply one value per dimension")
     total = 0.0 + 0.0j
     for j, (d, sj) in enumerate(zip(params, s)):
+        zeta, alpha, c = _zeta_alpha_c(d)
         if kind == "second":
-            arg = d.zeta + sj
+            arg = zeta + sj
         elif kind == "first":
-            arg = 1.0 + d.zeta - sj
+            arg = 1.0 + zeta - sj
         else:
             raise UsageError(f"unknown operator kind {kind!r}")
         if abs(arg.imag) < 1e-12 and arg.real <= 0.0 and \
@@ -159,7 +165,9 @@ def kober_mellin_ratio(kind: str, params: Sequence[DimParams], s) -> complex:
                 f"gamma factor has a pole in dimension {j} (argument {arg})",
                 dimension=j,
             )
-        total += loggamma(arg) - loggamma(arg + d.alpha)
+        total += loggamma(arg) - loggamma(arg + alpha)
+        if c != 1.0:
+            total += (-(zeta + sj) if kind == "second" else sj - zeta - 1.0) * math.log(c)
     return complex(np.exp(total))
 
 
@@ -172,18 +180,18 @@ def default_s_grid(kind: str, params: Sequence[DimParams]) -> list[np.ndarray]:
     (first kind).
     """
     per_dim = []
-    for d in params:
+    for zeta, _, _ in map(_zeta_alpha_c, params):
         if kind == "second":
             vals = [s for s in _BASE_GRID
-                    if complex(s).real + d.zeta >= _STRIP_MARGIN_SECOND]
+                    if complex(s).real + zeta >= _STRIP_MARGIN_SECOND]
         elif kind == "first":
             vals = [s for s in _BASE_GRID
-                    if complex(s).real <= 1.0 + d.zeta - _STRIP_MARGIN_FIRST]
+                    if complex(s).real <= 1.0 + zeta - _STRIP_MARGIN_FIRST]
         else:
             raise UsageError(f"unknown operator kind {kind!r}")
         if not vals:
             raise ParameterError(
-                f"no admissible grid values for zeta={d.zeta} ({kind} kind)"
+                f"no admissible grid values for zeta={zeta} ({kind} kind)"
             )
         per_dim.append(vals)
     return [np.asarray(combo, dtype=complex)
@@ -263,10 +271,11 @@ def mellin_factorization_check(
     rhs = np.array([kober_mellin_ratio(kind, params, s) * f.mellin(s) for s in s_grid])
     rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
     max_rel = float(np.max(rel))
+    zetas, alphas, _ = zip(*map(_zeta_alpha_c, params))
     return MellinCheckReport(
         kind=kind,
-        zetas=tuple(d.zeta for d in params),
-        alphas=tuple(d.alpha for d in params),
+        zetas=zetas,
+        alphas=alphas,
         n_nodes=n,
         tol=tol,
         s_points=tuple(tuple(complex(c) for c in s) for s in s_grid),

@@ -427,6 +427,17 @@ class TestExitCodes:
         ])
         assert code == cli.EXIT_NUMERIC
 
+    @pytest.mark.parametrize("kind,extra,point", [
+        ("second", ["--alpha", "1.5"], "1e-310"),
+        # c = a(1-q) = 0.5 halves the point the near field's tail grid sees
+        ("pathway-second", ["--a", "1", "--q", "0.5", "--eta", "1"], "3e-306"),
+    ])
+    def test_point_below_the_near_field_tail_grid_exits_two(self, kind, extra, point, capsys):
+        code = run_cli(["eval", "--kind", kind, "--k", "1", "--zeta", "0.5", *extra,
+                        "--point", point])
+        assert code == cli.EXIT_USAGE
+        assert f"point {point} is too small" in capsys.readouterr().err
+
     def test_argparse_failure_exits_two(self):
         assert run_cli(["eval", "--kind", "nonsense"]) == cli.EXIT_USAGE
 

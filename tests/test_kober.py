@@ -284,6 +284,17 @@ class TestEvaluationPlumbing:
         with pytest.raises(DomainError, match="finite and positive"):
             kober1_eval(np.array([u]), [DimParams(1.5, 1.0)], f)
 
+    def test_near_field_tail_grid_overflow_is_a_domain_error(self):
+        # 350/(c*u) overflows: the tail grid would put nodes at v = inf
+        f = gamma_product((2.0,))
+        with pytest.raises(DomainError, match="point 1e-310 is too small"):
+            kober2_eval(np.array([1e-310]), [DimParams(0.5, 1.5)], f, refine=False)
+        pw = PathwayDimParams(a=1.0, q=0.5, eta=1.0, zeta=0.5)  # c = 0.5
+        with pytest.raises(DomainError, match="point 3e-306 is too small"):
+            kober2_eval(np.array([3e-306]), [pw], f, refine=False)
+        value = kober2_eval(np.array([2e-306]), [DimParams(0.5, 1.5)], f, refine=False).value
+        assert 0.0 < value < math.inf
+
     def test_prefactor_overflow_raises(self):
         # the summed log prefactor is about 1256.9 here, far past the float
         # range; the value must not come back capped

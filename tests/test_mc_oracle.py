@@ -8,7 +8,8 @@ import pytest
 from scipy import stats
 
 import ekstat.mc_oracle as mc_oracle
-from ekstat.densities import SampleMatrix
+from ekstat import transforms
+from ekstat.densities import SampleMatrix, beta_product_draws, dirichlet_draws
 from ekstat.errors import ParameterError, ShapeError, SizeError, UsageError
 from ekstat.kober import (
     IDENTITY_IDS,
@@ -30,7 +31,8 @@ from ekstat.mc_oracle import (
     verify,
 )
 from ekstat.reporting import dumps_json
-from ekstat.transforms import inverse
+from ekstat.streams import map_rows
+from ekstat.transforms import forward, inverse
 
 
 class TestSimulate:
@@ -64,11 +66,12 @@ class TestSimulate:
                 many = simulate(spec, 6000, seed=11, workers=3).data
                 assert np.array_equal(one, many), (theorem, k)
 
-    def test_triangular_constructions_route_through_the_map(self, unit_mass):
-        # the second ratio coordinate follows its beta law; the simplex
-        # coordinate it is mapped from (reference draws from scipy) does not
+    def test_gen_dirichlet_constructions_draw_ratio_betas_directly(self, unit_mass):
+        # 1.3 draws its ratio coordinates from their beta laws: the second
+        # follows its law; the simplex coordinate of the same betas
+        # (reference draws from scipy) does not
         spec = make_spec("1.3", 2, f=unit_mass(2))
-        triples = identity_record("1.3").beta(spec.params).triples
+        triples = identity_record("1.3").law(spec.params).triples
         y = simulate(spec, 10**4, seed=7).data
         rng = np.random.default_rng(7)
         x_ref = inverse(np.stack([rng.beta(a, b, 10**4) for a, b, _ in triples], axis=-1))
@@ -103,6 +106,43 @@ class TestSimulate:
         spec = make_spec("1.1", 1, f=bare)
         with pytest.raises(UsageError):
             simulate(spec, 100, seed=0)
+
+
+class TestMixingLaw:
+    @pytest.mark.parametrize("theorem", ["1.3", "2.5"])
+    def test_gen_dirichlet_simulation_draws_no_map(self, theorem, monkeypatch):
+        # y is the ratio betas themselves, with the triangular map refused
+        def refused(*args, **kwargs):
+            raise AssertionError("triangular map called")
+
+        monkeypatch.setattr(transforms, "forward", refused)
+        monkeypatch.setattr(transforms, "inverse", refused)
+        spec = make_spec(theorem, 3)
+        triples = identity_record(theorem).law(spec.params).triples
+
+        def reference(gen, count):
+            y = beta_product_draws(gen, count, triples)
+            v = spec.f.from_uniforms(gen, count)
+            return y * v if theorem == "1.3" else v / y
+
+        n = 5 * 10**4  # several row blocks
+        u = simulate(spec, n, seed=13, workers=2).data
+        assert np.array_equal(u, map_rows(reference, 13, n, 3, 1))
+
+    @pytest.mark.parametrize("theorem", ["1.2", "2.4"])
+    def test_dirichlet_law_maps_the_simplex_draws(self, theorem):
+        params = make_spec(theorem, 3).params
+        law = identity_record(theorem).law(params)
+        assert law.dirichlet == params
+        got = law.draw(np.random.Generator(np.random.Philox(5)), 1000)
+        want = forward(dirichlet_draws(np.random.Generator(np.random.Philox(5)), 1000, params))
+        assert np.array_equal(got, want)
+
+    def test_combine_per_identity(self):
+        assert {t: identity_record(t).combine for t in IDENTITY_IDS} == {
+            "1.1": "product", "1.2": "transformed-product", "1.3": "transformed-product",
+            "1.4": "product", "2.1": "ratio", "2.3": "ratio", "2.4": "transformed-ratio",
+            "2.5": "transformed-ratio"}
 
 
 class TestHistogramEstimate:
@@ -361,7 +401,7 @@ class TestRatioCoordinateLaws:
         spec = make_spec(theorem, 2, f=unit_mass(2))
         u = simulate(spec, 10**5, seed=49).data
         y = u if identity_record(theorem).kind == "second" else 1.0 / u
-        for j, (first, second, _) in enumerate(identity_record(theorem).beta(spec.params).triples):
+        for j, (first, second, _) in enumerate(identity_record(theorem).law(spec.params).triples):
             p = stats.kstest(y[:, j], stats.beta(first, second).cdf).pvalue
             assert p > 1e-3, f"{theorem} coordinate {j}: KS p-value {p:.2e}"
 

@@ -6,7 +6,18 @@ import pytest
 
 from ekstat import mellin, quadrature
 from ekstat.errors import EvaluationError, PoleError, SizeError, UsageError
-from ekstat.kober import DimParams, MultiDensity, exponential_product, gamma_product, operator_image
+from ekstat.densities import PathwayDimParams
+from ekstat.kober import (
+    IDENTITY_IDS,
+    DimParams,
+    MultiDensity,
+    ScaledDimParams,
+    exponential_product,
+    gamma_product,
+    identity_setup,
+    operator_image,
+)
+from ekstat.mc_oracle import make_spec
 from ekstat.mellin import (
     default_s_grid,
     kober_mellin_ratio,
@@ -95,6 +106,16 @@ class TestMellinRatio:
         val = kober_mellin_ratio("second", [DimParams(0.5, 1e-13)], 1.7)
         assert val.real == pytest.approx(1.0, rel=1e-10)
 
+    @pytest.mark.parametrize("kind,zeta,power", [("second", 0.5, lambda z, s: -(z + s)),
+                                                 ("first", 1.5, lambda z, s: s - z - 1.0)])
+    def test_support_factor_scales_the_classical_multiplier(self, kind, zeta, power):
+        # the operator with support factor c is the classical one at c*u
+        # (second kind) or u/c (first kind), times c^-zeta or c^-(zeta+1)
+        c, s = 2.5, np.array([1.25 + 0.5j])
+        classical = kober_mellin_ratio(kind, [DimParams(zeta, 0.7)], s)
+        scaled = kober_mellin_ratio(kind, [ScaledDimParams(zeta, 0.7, c)], s)
+        assert scaled == pytest.approx(classical * c ** power(zeta, s[0]), rel=1e-14)
+
     def test_pole_detection_names_dimension(self):
         with pytest.raises(PoleError) as info:
             kober_mellin_ratio("second", [DimParams(0.5, 1.0), DimParams(1.0, 1.0)],
@@ -144,6 +165,22 @@ class TestFactorizationCheck:
             "second", [DimParams(0.5, 1e-9)], f, s_grid=[np.array([1.5])]
         )
         assert rep.lhs[0] == pytest.approx(f.mellin(np.array([1.5])), rel=1e-6)
+
+    @pytest.mark.parametrize("theorem", IDENTITY_IDS)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_identity_setup_dims_pass(self, theorem, k):
+        # 1.4 and 2.3 set up dims with support factor a(1-q) != 1
+        spec = make_spec(theorem, k)
+        kind, dims, _ = identity_setup(theorem, spec.params)
+        rep = mellin_factorization_check(kind, dims, spec.f)
+        assert rep.passed and rep.max_rel_err < 1e-6
+
+    @pytest.mark.parametrize("kind,zeta", [("second", 0.5), ("first", 1.5)])
+    def test_pathway_params_pass(self, kind, zeta):
+        p = PathwayDimParams(a=1.5, q=0.25, eta=2.0, zeta=zeta)  # c = 1.125
+        rep = mellin_factorization_check(kind, [p], gamma_product((2.0,)))
+        assert rep.passed and rep.max_rel_err < 1e-6
+        assert rep.zetas == (zeta,) and rep.alphas == (p.beta_law[1],)
 
     def test_requires_closed_form(self):
         bare = MultiDensity(dim=1, pdf=lambda p: np.exp(-p[..., 0]))
