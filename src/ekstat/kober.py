@@ -198,14 +198,14 @@ def check_grid(n: int, k: int) -> None:
 
 
 class _DimQuad:
-    """Nodes and log-weights for one dimension of an operator integral.
+    """Nodes and weights for one dimension of an operator integral.
 
     For an evaluation point ``u`` the dimension contributes
-    ``sum_i exp(logw_i) * f(... v_i ...)``; the plan chooses between the
-    plain Jacobi rule and the composite near/far-field split.  ``c`` is the
-    pathway support factor a(1-q) (1 for the classical operators).  A plan
-    takes an array of one dimension's coordinates at once (:meth:`sums`);
-    :func:`_plan` keeps the plans built.
+    ``exp(top) * sum_i w_i * f(... v_i ...)`` (:meth:`_blocks`); the plan
+    chooses between the plain Jacobi rule and the composite near/far-field
+    split.  ``c`` is the pathway support factor a(1-q) (1 for the classical
+    operators).  A plan takes an array of one dimension's coordinates at
+    once (:meth:`sums`); :func:`_plan` keeps the plans built.
     """
 
     def __init__(self, kind: str, zeta: float, alpha: float, c: float, n: int):
@@ -224,29 +224,26 @@ class _DimQuad:
 
     @cached_property
     def _plain(self):
-        """Nodes t and log weights of the plain rule, with -lnGamma(alpha) and
-        the pathway prefactor folded in.  The weight is (1-t)^(alpha-1) t^edge0;
-        the second kind's edge0 = zeta-1 is inadmissible for zeta <= 0, so there
-        edge0 = zeta and one power 1/t stays in the weights (nodes are interior)."""
-        z, second = self.zeta, self.kind == "second"
-        keep_t = second and not z > 0.0
-        rule = jacobi_rule(self.n, self.alpha - 1.0, z - 1.0 if second and z > 0.0 else z)
+        """Nodes t, top log weight and weights divided by exp(top) of the
+        plain rule, as the one row (shapes (1,) and (1, n)) that every
+        plain-regime coordinate shares, with -lnGamma(alpha) and the pathway
+        prefactor in the log weights.  The weight is (1-t)^(alpha-1) t^edge0;
+        the second kind folds its 1/t into edge0 = zeta - 1 only where that
+        exponent is above -1 in floating point, so for zeta <= 2^-54 (zeta = 0
+        included) edge0 = zeta and one power 1/t stays in the weights (nodes
+        are interior)."""
+        edge0 = self.zeta - 1.0 if self.kind == "second" else self.zeta
+        keep_t = not edge0 > -1.0
+        rule = jacobi_rule(self.n, self.alpha - 1.0, self.zeta if keep_t else edge0)
         logw = _log_weights(rule)
         if keep_t:
             logw = logw - np.log(rule.nodes)
         logw = logw + rule.log_mass - math.lgamma(self.alpha) + self.extra_log
-        logw.setflags(write=False)
-        return rule.nodes, logw
-
-    @cached_property
-    def _plain_weights(self):
-        """The plain rule's top log weight and its weights divided by
-        exp(top), which every plain-regime coordinate shares."""
-        _, logw = self._plain
-        top = float(np.max(logw))
-        w = np.exp(logw - top)
-        w.setflags(write=False)
-        return top, w
+        top = np.max(logw, keepdims=True)
+        w = np.exp(logw - top)[None]
+        for a in (top, w):
+            a.setflags(write=False)
+        return rule.nodes, top, w
 
     @cached_property
     def _split_rules(self):
@@ -274,8 +271,8 @@ class _DimQuad:
     # numpy takes only the arithmetic of whole rows.
 
     def _near_second(self, u: np.ndarray):
-        """Second kind for coordinates u with c*u below :data:`_NEAR_FIELD`:
-        nodes and log weights, one row per coordinate.
+        """Second kind for coordinates u with c*u below :data:`_NEAR_FIELD`,
+        as one (rows, nodes, log weights) block (see :meth:`_far_first`).
 
         Edge part: v in (u, 2u) with the kernel power exact; tail part:
         v in (2u, inf) on scale-adapted nodes with a double-exponentially
@@ -312,8 +309,8 @@ class _DimQuad:
         log_dv = log_2u + np.log(e) + np.log1p(e_neg) + log_h
         logw_tail = (lu_z + log_dv + (a - 1.0) * np.log(v_tail - u_col)
                      - (z + a) * np.log(v_tail))
-        return (np.concatenate([v_edge, v_tail], axis=1),
-                np.concatenate([logw_edge, logw_tail], axis=1) + self.extra_log)
+        return [(slice(None), np.concatenate([v_edge, v_tail], axis=1),
+                 np.concatenate([logw_edge, logw_tail], axis=1) + self.extra_log)]
 
     def _far_first(self, u: np.ndarray):
         """First kind for values u above :data:`_FAR_FIELD` * c, as a list
@@ -350,11 +347,12 @@ class _DimQuad:
                            np.concatenate([logw_tail, logw_edge[rows]], axis=1) + self.extra_log))
         return blocks
 
-    def _blocks(self, u: np.ndarray) -> list[tuple[np.ndarray | slice, np.ndarray, np.ndarray]]:
-        """(rows, nodes, log weights) blocks for an array of checked
-        coordinates: row i of a block's nodes and log weights belongs to
-        ``u[rows][i]``, except that the plain block shares one row of log
-        weights.  Each rule is fetched once, when a coordinate first needs
+    def _blocks(self, u: np.ndarray) -> list[tuple]:
+        """(rows, nodes, top log weights, weights) blocks for an array of
+        checked coordinates: row i of a block belongs to ``u[rows][i]``, and
+        its weights are the regime's weights divided by exp(top[i]).  The
+        plain block's rows share its one row of top and weights, cached by
+        the plan.  Each rule is fetched once, when a coordinate first needs
         its regime."""
         second, c = self.kind == "second", self.c
         coords = u.tolist()
@@ -364,41 +362,35 @@ class _DimQuad:
         blocks = []
         if n_split:
             rows = slice(None) if n_split == len(u) else np.flatnonzero(split)
-            if second:
-                blocks.append((rows, *self._near_second(u[rows])))
-            else:
-                index = np.arange(len(u))[rows]
-                blocks.extend((index[r], v, logw) for r, v, logw in self._far_first(u[rows]))
+            index = np.arange(len(u))[rows]
+            for r, v, logw in (self._near_second if second else self._far_first)(u[rows]):
+                top = logw.max(axis=1)
+                blocks.append((index[r], v, top, np.exp(logw - top[:, None])))
         if n_split < len(u):
             # plain: v = c*u/t (second kind) or u*t/c (first; nodes on (0, u/c))
             rows = slice(None) if not n_split else np.flatnonzero(np.logical_not(split))
-            t, logw = self._plain
+            t, top, w = self._plain
             u_col = u[rows, None]
-            blocks.append((rows, c * u_col / t if second else u_col * t / c, logw))
+            blocks.append((rows, c * u_col / t if second else u_col * t / c, top, w))
         return blocks
 
-    def nodes_logw(self, u: float) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and log weights of one coordinate."""
+    def nodes_weights(self, u: float) -> tuple[np.ndarray, float, np.ndarray]:
+        """Nodes, top log weight and weights divided by exp(top) of one
+        coordinate."""
         coords = np.array([u], dtype=float)
         _check_coordinates(coords)
-        (_, v, logw), = self._blocks(coords)
-        return v[0], logw if logw.ndim == 1 else logw[0]
+        (_, v, top, w), = self._blocks(coords)
+        return v[0], float(top[0]), w[0]
 
     def sums(self, u: np.ndarray, factor: Callable[[np.ndarray], np.ndarray]):
         """(sums, top log weights) for an array of checked coordinates: the
-        weighted sum of ``factor`` over each coordinate's nodes, with the
-        weights divided by exp(top).  One factor call per block; the rows
-        are summed by ``np.vecdot``, whose per-row order is that of one
+        sum of ``factor`` over each coordinate's nodes with the weights of
+        its :meth:`_blocks` row.  One factor call per block; the rows are
+        summed by ``np.vecdot``, whose per-row order is that of one
         coordinate alone (a matrix product's is not)."""
         sums, tops = np.empty(len(u)), np.empty(len(u))
-        for rows, v, logw in self._blocks(u):
-            vals = _density_values(factor, v, v.shape)
-            if logw.ndim == 1:
-                top, w = self._plain_weights
-            else:
-                top = logw.max(axis=1)
-                w = np.exp(logw - top[:, None])
-            sums[rows] = np.vecdot(vals, w)
+        for rows, v, top, w in self._blocks(u):
+            sums[rows] = np.vecdot(_density_values(factor, v, v.shape), w)
             tops[rows] = top
         return sums, tops
 
@@ -462,13 +454,7 @@ def _dense_point(plans: Sequence[_DimQuad], point: Sequence[float],
                  pdf: Callable[[np.ndarray], np.ndarray], log_shift: float) -> float:
     """Operator value at one point: the sum of ``pdf`` over the tensor grid
     of the dimensions' nodes."""
-    nodes, scales, weights = [], [], []
-    for plan, u in zip(plans, point):
-        v, logw = plan.nodes_logw(u)
-        top = float(np.max(logw))
-        nodes.append(v)
-        scales.append(top)
-        weights.append(np.exp(logw - top))
+    nodes, scales, weights = zip(*(plan.nodes_weights(u) for plan, u in zip(plans, point)))
     pts = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)
     acc = _density_values(pdf, pts, pts.shape[:-1])
     for w in reversed(weights):
@@ -522,12 +508,11 @@ def eval_many(kind: str, params, f: MultiDensity, points,
         raise ShapeError(f"density dimension {f.dim} != parameter count {k}")
     if points.shape[-1] != k:
         raise ShapeError(f"points must have {k} coordinates")
-    if f.factors is None:
-        check_grid(n, k)
     plans = [_plan(kind, *_zeta_alpha_c(p), n) for p in params]
     if f.factors is not None:
         out = _separable_values(plans, points, f.factors, log_shift)
     else:
+        check_grid(n, k)
         out = np.array([_dense_point(plans, pt, f.pdf, log_shift) for pt in points.tolist()])
     return out[0] if single else out
 

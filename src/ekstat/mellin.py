@@ -137,15 +137,17 @@ def mellin_numeric(f: MultiDensity, s, n: int = DEFAULT_NODES,
 def kober_mellin_ratio(kind: str, params: Sequence[DimParams], s) -> complex:
     """Gamma-ratio Mellin multiplier of the operator, per dimension.
 
-    Second kind: ``prod Gamma(zeta_j + s_j) / Gamma(alpha_j + zeta_j + s_j)``;
-    first kind: ``prod Gamma(1 + zeta_j - s_j) / Gamma(1 + alpha_j + zeta_j - s_j)``.
-    A support factor c_j != 1 (pathway parameters, or the scaled dims of
-    :func:`ekstat.kober.identity_setup`) multiplies dimension j by
-    ``c_j^-(zeta_j + s_j)`` (second kind) or ``c_j^(s_j - zeta_j - 1)``
-    (first kind): the operator is the classical one at c*u or u/c.
+    Per dimension the Gamma argument is ``arg = zeta_j + s_j`` (second
+    kind) or ``arg = 1 + zeta_j - s_j`` (first kind), and the factor is
+    ``Gamma(arg) / Gamma(arg + alpha_j)`` times ``c_j^-arg`` for the
+    support factor c_j (pathway parameters, or the scaled dims of
+    :func:`ekstat.kober.identity_setup`; 1 for the classical operators):
+    the operator is the classical one at c*u or u/c.
     """
     from scipy.special import loggamma  # complex Gamma; scipy loads on the first check
 
+    if kind not in ("second", "first"):
+        raise UsageError(f"unknown operator kind {kind!r}")
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     params = tuple(params)
     if s.shape != (len(params),):
@@ -153,12 +155,7 @@ def kober_mellin_ratio(kind: str, params: Sequence[DimParams], s) -> complex:
     total = 0.0 + 0.0j
     for j, (d, sj) in enumerate(zip(params, s)):
         zeta, alpha, c = _zeta_alpha_c(d)
-        if kind == "second":
-            arg = zeta + sj
-        elif kind == "first":
-            arg = 1.0 + zeta - sj
-        else:
-            raise UsageError(f"unknown operator kind {kind!r}")
+        arg = zeta + sj if kind == "second" else 1.0 + zeta - sj
         if abs(arg.imag) < 1e-12 and arg.real <= 0.0 and \
                 abs(arg.real - round(arg.real)) < 1e-12:
             raise PoleError(
@@ -166,8 +163,7 @@ def kober_mellin_ratio(kind: str, params: Sequence[DimParams], s) -> complex:
                 dimension=j,
             )
         total += loggamma(arg) - loggamma(arg + alpha)
-        if c != 1.0:
-            total += (-(zeta + sj) if kind == "second" else sj - zeta - 1.0) * math.log(c)
+        total += -arg * math.log(c)
     return complex(np.exp(total))
 
 

@@ -89,15 +89,38 @@ class TestSecondKind:
         for u in (0.05, 0.5, 2.0, 20.0, 500.0):
             assert kober2_eval(np.array([u]), [DimParams(0.5, 0.7)], f, refine=False).value >= 0.0
 
-    def test_semigroup_composition(self):
+    @staticmethod
+    def composed_and_direct(f, zeta, a, b, u):
         # second-kind operators compose: (zeta, a) after (zeta+a, b) equals (zeta, a+b)
-        f = exponential_product(1)
-        zeta, a, b = 0.6, 0.8, 0.9
         inner = operator_image("second", [DimParams(zeta + a, b)], f, n=64)
+        composed = kober2_eval(np.array([u]), [DimParams(zeta, a)], inner, refine=False).value
+        direct = kober2_eval(np.array([u]), [DimParams(zeta, a + b)], f, refine=False).value
+        return composed, direct
+
+    def test_semigroup_composition(self):
         for u in (0.5, 1.0, 2.0):
-            composed = kober2_eval(np.array([u]), [DimParams(zeta, a)], inner, refine=False).value
-            direct = kober2_eval(np.array([u]), [DimParams(zeta, a + b)], f, refine=False).value
-            assert composed == pytest.approx(direct, rel=1e-6)
+            composed, direct = self.composed_and_direct(exponential_product(1), 0.6, 0.8, 0.9, u)
+            assert composed == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [1.0, 2.0, 0.5])
+    @pytest.mark.parametrize("zeta, a, b", [(0.6, 0.8, 0.9), (0.5, 0.7, 1.3),
+                                            (0.0, 1.5, 0.5), (-0.5, 1.0, 1.0)])
+    def test_semigroup_composition_near_field(self, shape, zeta, a, b):
+        # c*u < 0.25: both operators take the near-field split
+        for u in (0.05, 0.2):
+            composed, direct = self.composed_and_direct(gamma_product((shape,)), zeta, a, b, u)
+            assert composed == pytest.approx(direct, rel=1e-7)
+
+    @pytest.mark.parametrize("tiny", [1e-17, 5e-17])
+    def test_tiny_zeta_evaluates_as_zero(self, tiny):
+        # zeta - 1 rounds to -1 for 0 < zeta <= 2^-54, so the plain rule keeps
+        # its 1/t in the weights, as for zeta = 0
+        f = gamma_product((2.0,))
+        for u in (1.0, 5.0):
+            for alpha in (0.4, 1.5):
+                at_zero = kober2_eval(np.array([u]), [DimParams(0.0, alpha)], f).value
+                at_tiny = kober2_eval(np.array([u]), [DimParams(tiny, alpha)], f).value
+                assert at_tiny == pytest.approx(at_zero, rel=1e-15)
 
 
 class TestFirstKind:
@@ -157,7 +180,7 @@ class TestRegimeThresholds:
             monkeypatch.setattr(plan, name, run)
         spy("_near_second")
         spy("_far_first")
-        plan.nodes_logw(u)
+        plan.nodes_weights(u)
         return taken[0] if taken else "plain"
 
     def test_second_kind_near_field(self, monkeypatch):
@@ -331,7 +354,7 @@ class TestEvaluationPlumbing:
             assert plan is kober._plan(kind, 1.5, 0.7, 1.0, 64)
             plan.sums(np.array(u), lambda x: np.exp(-x))  # builds every rule of both regimes
             edge, edge_logw, edge_v, tail = plan._split_rules
-            arrays = [*plan._plain, plan._plain_weights[1], edge.nodes, edge.weights_unit,
+            arrays = [*plan._plain, edge.nodes, edge.weights_unit,
                       edge_logw, edge_v, *tail]
             assert not any(a.flags.writeable for a in arrays)
 
