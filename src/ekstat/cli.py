@@ -250,8 +250,7 @@ def _cmd_sample(cfg, given) -> int:
         raise UsageError(f"cannot read --family {family!r}; expected {_FAMILY_FORMS}")
     header = [f"x{j+1}" for j in range(sm.dim)]
     rows = sm.data.tolist()
-    payload = {"family": family, "n": sm.n, "seed": sm.seed,
-               "draws": [list(r) for r in sm.data]}
+    payload = {"family": family, "n": sm.n, "seed": sm.seed, "draws": rows}
     _write_report(cfg, payload, rows, header)
     return EXIT_OK
 

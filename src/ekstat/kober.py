@@ -440,41 +440,43 @@ def _density_values(pdf: Callable[[np.ndarray], np.ndarray], pts: np.ndarray,
     return vals
 
 
-def _scaled(total: float, scales: Sequence[float], log_shift: float) -> float:
-    """``total`` times exp(sum of the dimensions' top log weights minus
-    ``log_shift``), or OverflowError when that leaves the float range."""
-    log_scale = math.fsum(scales) - log_shift
-    value = total * math.exp(log_scale) if log_scale < _LOG_FLOAT_MAX else math.inf
-    if not math.isfinite(value):
-        raise OverflowError(f"operator value overflows the float range (log prefactor {log_scale:.6g})")
-    return value
+def _scaled(totals: Sequence[float], log_sums: Sequence[float], log_shift: float) -> np.ndarray:
+    """Each total times exp(its ``log_sums`` entry, the fsum of the
+    dimensions' top log weights, minus ``log_shift``), or OverflowError
+    when a value leaves the float range."""
+    out = []
+    for total, log_sum in zip(totals, log_sums):
+        log_scale = log_sum - log_shift
+        value = total * math.exp(log_scale) if log_scale < _LOG_FLOAT_MAX else math.inf
+        if not math.isfinite(value):
+            raise OverflowError(f"operator value overflows the float range (log prefactor {log_scale:.6g})")
+        out.append(value)
+    return np.array(out)
 
 
 def _dense_point(plans: Sequence[_DimQuad], point: Sequence[float],
-                 pdf: Callable[[np.ndarray], np.ndarray], log_shift: float) -> float:
-    """Operator value at one point: the sum of ``pdf`` over the tensor grid
-    of the dimensions' nodes."""
+                 pdf: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
+    """(unscaled total, fsum of top log weights) of the operator at one
+    point: the sum of ``pdf`` over the tensor grid of the dimensions' nodes."""
     nodes, scales, weights = zip(*(plan.nodes_weights(u) for plan, u in zip(plans, point)))
     pts = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)
     acc = _density_values(pdf, pts, pts.shape[:-1])
     for w in reversed(weights):
         acc = np.tensordot(acc, w, axes=([-1], [0]))
-    return _scaled(float(acc), scales, log_shift)
+    return float(acc), math.fsum(scales)
 
 
-def _separable_values(plans: Sequence[_DimQuad], points: np.ndarray,
-                      factors: Sequence[Callable[[np.ndarray], np.ndarray]],
-                      log_shift: float) -> np.ndarray:
-    """Operator values at the (m, k) points of a product density: per
-    point, the product of one weighted factor sum per dimension.
+def _separable_parts(plans: Sequence[_DimQuad], points: np.ndarray,
+                     factors: Sequence[Callable[[np.ndarray], np.ndarray]]) -> tuple[list, list]:
+    """(unscaled totals, fsums of top log weights) of the operator at the
+    (m, k) points of a product density: per point, the product of one
+    weighted factor sum per dimension, in dimension order.
 
     Sum j depends on coordinate j alone, so each dimension sums its
     distinct coordinates once, in one batch, and a tensor grid of points
     costs one sum per grid line.  Every coordinate is checked before any
     factor is called, so a bad coordinate is a DomainError ahead of a
-    density error.  Each point combines its k sums and top log weights
-    with the scalar arithmetic of :func:`_scaled`, so a batch gives each
-    point's single value bit for bit.
+    density error.
     """
     _check_coordinates(points)
     total, tops = None, []
@@ -485,9 +487,28 @@ def _separable_values(plans: Sequence[_DimQuad], points: np.ndarray,
             distinct, inverse = np.unique(u, return_inverse=True)
             s, top = (a[inverse] for a in plan.sums(distinct, factor))
         total = s if total is None else total * s
-        tops.append(top)
-    return np.array([_scaled(t, scales, log_shift)
-                     for t, scales in zip(total.tolist(), zip(*(top.tolist() for top in tops)))])
+        tops.append(top.tolist())
+    return total.tolist(), [math.fsum(scales) for scales in zip(*tops)]
+
+
+def _eval_parts(kind: str, params, f: MultiDensity, points: np.ndarray,
+                n: int) -> tuple[list, list]:
+    """The part of the operator's values at (m, k) points that does not
+    depend on a density constant: each point's unscaled total and the fsum
+    of its top log weights.  :func:`_scaled` finishes a value from them, so
+    a caller that keeps them (``mc_oracle``'s negative controls) rescales
+    without summing again."""
+    k = len(params)
+    if k != f.dim:
+        raise ShapeError(f"density dimension {f.dim} != parameter count {k}")
+    if points.shape[-1] != k:
+        raise ShapeError(f"points must have {k} coordinates")
+    plans = [_plan(kind, *_zeta_alpha_c(p), n) for p in params]
+    if f.factors is not None:
+        return _separable_parts(plans, points, f.factors)
+    check_grid(n, k)
+    parts = [_dense_point(plans, pt, f.pdf) for pt in points.tolist()]
+    return [t for t, _ in parts], [s for _, s in parts]
 
 
 def eval_many(kind: str, params, f: MultiDensity, points,
@@ -503,17 +524,7 @@ def eval_many(kind: str, params, f: MultiDensity, points,
     single = points.ndim == 1
     if single:
         points = points[None, :]
-    k = len(params)
-    if k != f.dim:
-        raise ShapeError(f"density dimension {f.dim} != parameter count {k}")
-    if points.shape[-1] != k:
-        raise ShapeError(f"points must have {k} coordinates")
-    plans = [_plan(kind, *_zeta_alpha_c(p), n) for p in params]
-    if f.factors is not None:
-        out = _separable_values(plans, points, f.factors, log_shift)
-    else:
-        check_grid(n, k)
-        out = np.array([_dense_point(plans, pt, f.pdf, log_shift) for pt in points.tolist()])
+    out = _scaled(*_eval_parts(kind, params, f, points, n), log_shift)
     return out[0] if single else out
 
 
@@ -585,7 +596,7 @@ def operator_image(kind: str, params, f: MultiDensity,
         def image_j(x: np.ndarray) -> np.ndarray:
             x = np.asarray(x, dtype=float)
             plan = _plan(kind, *_zeta_alpha_c(p), n)
-            return _separable_values([plan], x.reshape(-1, 1), (f_j,), 0.0).reshape(x.shape)
+            return _scaled(*_separable_parts([plan], x.reshape(-1, 1), (f_j,)), 0.0).reshape(x.shape)
         return image_j
 
     tail = "exp" if (kind == "second" and f.tail == "exp") else "algebraic"

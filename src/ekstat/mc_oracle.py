@@ -29,8 +29,10 @@ from .kober import (
     IDENTITY_IDS,
     MixingLaw,
     MultiDensity,
+    _eval_parts,
+    _scaled,
     check_nodes,
-    eval_many,
+    eval_many,  # unused here; benchmarks/tracing.py patches it under this name
     gamma_product,
     identity_record,
     identity_setup,
@@ -437,7 +439,7 @@ def _pass_policy(z: np.ndarray) -> tuple[float, float, bool]:
 _GL_BOX = np.polynomial.legendre.leggauss(3)
 
 
-def _box_average(kind, dims, f, probes, bandwidths, n_nodes, log_shift):
+def _box_average(kind, dims, f, probes, bandwidths, n_nodes, log_shift, memo=None):
     """Predicted density averaged over each probe's counting box.
 
     The box count estimates the integral of the density over the box, so
@@ -446,6 +448,11 @@ def _box_average(kind, dims, f, probes, bandwidths, n_nodes, log_shift):
     the support boundary u_j = 0 are clipped exactly (the density of u
     vanishes there) and the average keeps the full box volume; a box
     entirely below it averages to 0.
+
+    The operator's parts at the box nodes do not depend on ``log_shift``
+    (:func:`ekstat.kober._eval_parts`).  ``memo``, the sample's dict for
+    its default grid, keeps them per reading, keyed by (kind, dims, f,
+    n_nodes), so a negative control on the same draws only rescales.
     """
     nodes, wts = _GL_BOX
     k = probes.shape[1]
@@ -457,18 +464,25 @@ def _box_average(kind, dims, f, probes, bandwidths, n_nodes, log_shift):
         return out
     lo, hi = lo[kept], hi[kept]
     mass_fraction = functools.reduce(np.multiply, ((hi - lo) / bandwidths).T)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    axes = mid[..., None] + half[..., None] * nodes         # (boxes, k, 3)
-    # the 3^k tensor rule in C order: node index per axis, weight per point
-    grid = np.indices((len(nodes),) * k).reshape(k, -1).T
+    # f by identity, which its entry keeps alive, so f need not be hashable
+    key = (kind, dims, id(f), n_nodes)
+    parts = None if memo is None else memo.get(key, (f, None))[1]
+    if parts is None:
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        axes = mid[..., None] + half[..., None] * nodes         # (boxes, k, 3)
+        # the 3^k tensor rule in C order: node index per axis
+        grid = np.indices((len(nodes),) * k).reshape(k, -1).T
+        pts = axes[:, np.arange(k), grid]                       # (boxes, 3^k, k)
+        # one call for every box: the boxes share their coordinates per
+        # dimension, and the operator sums each distinct coordinate once
+        parts = _eval_parts(kind, dims, f, pts.reshape(-1, k), n_nodes)
+        if memo is not None:
+            memo[key] = (f, parts)
+    vals = _scaled(*parts, log_shift)
     wall = functools.reduce(np.multiply.outer, [wts / 2.0] * k).ravel()
-    pts = axes[:, np.arange(k), grid]                       # (boxes, 3^k, k)
-    # one call for every box: the boxes share their coordinates per
-    # dimension, and eval_many sums each distinct coordinate once
-    vals = eval_many(kind, dims, f, pts.reshape(-1, k), n_nodes, log_shift=log_shift)
     # vecdot sums each box in np.dot's order (a matrix product does not),
     # which keeps the reports' predictions bit for bit
-    out[kept] = np.vecdot(vals.reshape(len(pts), -1), wall) * mass_fraction
+    out[kept] = np.vecdot(vals.reshape(len(lo), -1), wall) * mass_fraction
     return out
 
 
@@ -519,8 +533,9 @@ def verify(
     1 is a deliberate corruption for negative-control checks).  ``samples``
     may carry a pre-simulated :class:`SampleMatrix` (with ``spec.k``
     coordinates and no NaN) to reuse draws across policy variations: its
-    probe grid, bandwidths and box counts are computed once per sample and
-    kept on it, so a later call on the same object only scores predictions.
+    probe grid, bandwidths and box counts, and each reading's operator sums
+    at the box nodes, are computed once per sample and kept on it, so a
+    later call on the same object only rescales its predictions.
     Box bandwidths always come from :func:`default_probes`, also for user
     ``probes``, whose boxes are counted per call.
     """
@@ -537,6 +552,8 @@ def verify(
                              f"{spec.theorem} is set up for k = {spec.k}")
         n_samples = samples.n
         seed = samples.seed
+    # the default grid's box averages keep their operator parts on the sample
+    memo = samples._memo.setdefault("parts", {}) if probes is None else None
     probes, bandwidths, (empirical, se, low) = _sample_counts(samples, probes)
     scored = {}
 
@@ -544,7 +561,7 @@ def verify(
         if setup not in scored:
             kind, dims, log_c = setup
             pred = _box_average(kind, dims, spec.f, probes, bandwidths, n_nodes,
-                                log_shift=log_c + math.log(constant_scale))
+                                log_shift=log_c + math.log(constant_scale), memo=memo)
             z = (empirical - pred) / se
             scored[setup] = (pred, z, *_pass_policy(z))
         return scored[setup]
@@ -560,12 +577,12 @@ def verify(
             if cand.admissible:
                 pred_c, z_c, frac_c, max_c, pass_c = score(cand.setup())
             else:
-                pred_c, z_c, frac_c, max_c, pass_c = (), (), 0.0, float("inf"), False
+                pred_c = z_c = np.empty(0)
+                frac_c, max_c, pass_c = 0.0, float("inf"), False
                 note = (note + "; " if note else "") + "inadmissible: a beta parameter is not positive"
             cand_results.append(CandidateResult(
                 label=cand.label, pairs=cand.pairs, admissible=cand.admissible,
-                predicted=tuple(float(v) for v in pred_c),
-                z=tuple(float(v) for v in z_c),
+                predicted=tuple(pred_c.tolist()), z=tuple(z_c.tolist()),
                 fraction_within_4se=frac_c, max_abs_z=max_c, passed=pass_c, note=note,
             ))
         winners = [c.label for c in cand_results if c.passed]
@@ -593,13 +610,13 @@ def verify(
         constant_scale=constant_scale,
         density=spec.f.name,
         params=_params_echo(spec),
-        probes=tuple(tuple(float(c) for c in p) for p in probes),
-        bandwidths=tuple(float(b) for b in bandwidths),
-        empirical=tuple(float(v) for v in empirical),
-        se=tuple(float(v) for v in se),
-        low_count=tuple(bool(b) for b in low),
-        predicted=tuple(float(v) for v in predicted),
-        z=tuple(float(v) for v in z),
+        probes=tuple(map(tuple, probes.tolist())),
+        bandwidths=tuple(bandwidths.tolist()),
+        empirical=tuple(empirical.tolist()),
+        se=tuple(se.tolist()),
+        low_count=tuple(low.tolist()),
+        predicted=tuple(predicted.tolist()),
+        z=tuple(z.tolist()),
         fraction_within_4se=fraction,
         max_abs_z=max_abs,
         passed=passed,

@@ -134,6 +134,31 @@ def mellin_numeric(f: MultiDensity, s, n: int = DEFAULT_NODES,
     return MellinResult(value=value, est_error=err, n_nodes=n, converged=converged)
 
 
+def _mellin_multipliers(kind: str, params: Sequence[DimParams], s: np.ndarray) -> np.ndarray:
+    """Gamma-ratio multipliers at the (m, k) complex s-points ``s``, per
+    dimension as in :func:`kober_mellin_ratio`, each dimension's Gamma
+    arguments formed for every s-point at once.  A pole raises PoleError
+    for the first s-point, in grid order, whose argument hits one, and its
+    first such dimension."""
+    from scipy.special import loggamma  # complex Gamma; scipy loads on the first check
+
+    zac = [_zeta_alpha_c(d) for d in params]
+    args = np.stack([z + s[:, j] if kind == "second" else 1.0 + z - s[:, j]
+                     for j, (z, _, _) in enumerate(zac)], axis=1)
+    pole = (np.abs(args.imag) < 1e-12) & (args.real <= 0.0) & \
+        (np.abs(args.real - np.round(args.real)) < 1e-12)
+    if pole.any():
+        i, j = np.unravel_index(int(np.argmax(pole)), pole.shape)
+        raise PoleError(f"gamma factor has a pole in dimension {j} (argument {args[i, j]})",
+                        dimension=int(j))
+    total = np.zeros(len(s), dtype=complex)
+    for j, (_, alpha, c) in enumerate(zac):
+        arg = args[:, j]
+        total += loggamma(arg) - loggamma(arg + alpha)
+        total += -arg * math.log(c)
+    return np.exp(total)
+
+
 def kober_mellin_ratio(kind: str, params: Sequence[DimParams], s) -> complex:
     """Gamma-ratio Mellin multiplier of the operator, per dimension.
 
@@ -144,27 +169,13 @@ def kober_mellin_ratio(kind: str, params: Sequence[DimParams], s) -> complex:
     :func:`ekstat.kober.identity_setup`; 1 for the classical operators):
     the operator is the classical one at c*u or u/c.
     """
-    from scipy.special import loggamma  # complex Gamma; scipy loads on the first check
-
     if kind not in ("second", "first"):
         raise UsageError(f"unknown operator kind {kind!r}")
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     params = tuple(params)
     if s.shape != (len(params),):
         raise ShapeError("s must supply one value per dimension")
-    total = 0.0 + 0.0j
-    for j, (d, sj) in enumerate(zip(params, s)):
-        zeta, alpha, c = _zeta_alpha_c(d)
-        arg = zeta + sj if kind == "second" else 1.0 + zeta - sj
-        if abs(arg.imag) < 1e-12 and arg.real <= 0.0 and \
-                abs(arg.real - round(arg.real)) < 1e-12:
-            raise PoleError(
-                f"gamma factor has a pole in dimension {j} (argument {arg})",
-                dimension=j,
-            )
-        total += loggamma(arg) - loggamma(arg + alpha)
-        total += -arg * math.log(c)
-    return complex(np.exp(total))
+    return complex(_mellin_multipliers(kind, params, s[None])[0])
 
 
 def default_s_grid(kind: str, params: Sequence[DimParams]) -> list[np.ndarray]:
@@ -262,9 +273,12 @@ def mellin_factorization_check(
     if s_grid is None:
         s_grid = default_s_grid(kind, params)
     s_grid = [np.atleast_1d(np.asarray(s, dtype=complex)) for s in s_grid]
+    if any(s.shape != (len(params),) for s in s_grid):
+        raise ShapeError("s must supply one value per dimension")
     image = operator_image(kind, params, f, n)
     lhs = _mellin_values(image, s_grid, n)
-    rhs = np.array([kober_mellin_ratio(kind, params, s) * f.mellin(s) for s in s_grid])
+    ratios = _mellin_multipliers(kind, params, np.reshape(s_grid, (len(s_grid), len(params))))
+    rhs = np.array([r * f.mellin(s) for r, s in zip(ratios.tolist(), s_grid)])
     rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
     max_rel = float(np.max(rel))
     zetas, alphas, _ = zip(*map(_zeta_alpha_c, params))
@@ -275,9 +289,9 @@ def mellin_factorization_check(
         n_nodes=n,
         tol=tol,
         s_points=tuple(tuple(complex(c) for c in s) for s in s_grid),
-        lhs=tuple(complex(v) for v in lhs),
-        rhs=tuple(complex(v) for v in rhs),
-        rel_err=tuple(float(e) for e in rel),
+        lhs=tuple(lhs.tolist()),
+        rhs=tuple(rhs.tolist()),
+        rel_err=tuple(rel.tolist()),
         max_rel_err=max_rel,
         passed=bool(max_rel <= tol),
     )

@@ -4,14 +4,22 @@ Reports are plain nested dicts of JSON-safe values.  Floats are always
 written with 17 significant digits so that identical runs produce
 byte-identical files (modulo the timestamp field), and complex numbers are
 spelled out as ``{"re": ..., "im": ...}`` objects.
+
+The writers format in bulk: a sequence of floats (a JSON array or a CSV
+row) is one ``%.17g`` format over a joined template, an array of bools one
+join, and the JSON text is collected in a list and joined once.  ``%.17g``
+prints a float exactly as ``format(x, ".17g")`` does.
 """
 
 from __future__ import annotations
 
-import io
 from datetime import datetime, timezone
 
 import numpy as np
+
+# element types that a float array or CSV row may hold for its one bulk format
+_FLOATS = (float, np.float64)
+_BOOLS = (bool, np.bool_)
 
 
 def _fmt_float(x: float) -> str:
@@ -24,55 +32,98 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_json(obj, out: io.StringIO, level: int) -> None:
-    pad = "  " * level
+def _write_float(obj, out: list, level: int) -> None:
+    out.append(_fmt_float(float(obj)))
+
+
+def _write_bool(obj, out: list, level: int) -> None:
+    out.append("true" if obj else "false")
+
+
+def _write_none(obj, out: list, level: int) -> None:
+    out.append("null")
+
+
+def _write_int(obj, out: list, level: int) -> None:
+    out.append(str(int(obj)))
+
+
+def _write_complex(obj, out: list, level: int) -> None:
     pad_in = "  " * (level + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            out.write("{}")
-            return
-        out.write("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            out.write(f'{pad_in}"{key}": ')
-            _write_json(val, out, level + 1)
-            out.write(",\n" if i < len(obj) - 1 else "\n")
-        out.write(pad + "}")
-    elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        items = list(obj)
-        if not items:
-            out.write("[]")
-            return
-        out.write("[\n")
-        for i, val in enumerate(items):
-            out.write(pad_in)
-            _write_json(val, out, level + 1)
-            out.write(",\n" if i < len(items) - 1 else "\n")
-        out.write(pad + "]")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.write("true" if obj else "false")
-    elif obj is None:
-        out.write("null")
-    elif isinstance(obj, (int, np.integer)):
-        out.write(str(int(obj)))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        _write_json({"re": obj.real, "im": obj.imag}, out, level)
-    elif isinstance(obj, (float, np.floating)):
-        out.write(_fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        escaped = "".join(c if c >= " " else f"\\u{ord(c):04x}" for c in escaped)
-        out.write('"' + escaped + '"')
+    out.append(f'{{\n{pad_in}"re": {_fmt_float(float(obj.real))},\n'
+               f'{pad_in}"im": {_fmt_float(float(obj.imag))}\n{"  " * level}}}')
+
+
+def _write_str(obj, out: list, level: int) -> None:
+    escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
+    escaped = "".join(c if c >= " " else f"\\u{ord(c):04x}" for c in escaped)
+    out.append('"' + escaped + '"')
+
+
+def _write_dict(obj, out: list, level: int) -> None:
+    if not obj:
+        out.append("{}")
+        return
+    pad_in = "  " * (level + 1)
+    sep = "{\n"
+    for key, val in obj.items():
+        out.append(f'{sep}{pad_in}"{key}": ')
+        _write_json(val, out, level + 1)
+        sep = ",\n"
+    out.append("\n" + "  " * level + "}")
+
+
+def _write_seq(obj, out: list, level: int) -> None:
+    items = list(obj)
+    if not items:
+        out.append("[]")
+        return
+    pad_in = "  " * (level + 1)
+    sep = ",\n" + pad_in
+    out.append("[\n" + pad_in)
+    if all(type(v) in _FLOATS for v in items):
+        body = sep.join(["%.17g"] * len(items)) % tuple(items)
+        # a finite float prints no "n"; nan and +-inf are written quoted
+        out.append(body if "n" not in body else sep.join(map(_fmt_float, items)))
+    elif all(type(v) in _BOOLS for v in items):
+        out.append(sep.join(["true" if v else "false" for v in items]))
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} to a report")
+        for i, val in enumerate(items):
+            if i:
+                out.append(sep)
+            _write_json(val, out, level + 1)
+    out.append("\n" + "  " * level + "]")
+
+
+# the writer of each value's exact type, then, for subclasses and numpy
+# scalars, the first whose types the value is an instance of
+_WRITERS = {float: _write_float, np.float64: _write_float, dict: _write_dict,
+            list: _write_seq, tuple: _write_seq, str: _write_str, bool: _write_bool,
+            int: _write_int, type(None): _write_none, complex: _write_complex}
+_WRITERS_BY_BASE = (
+    (dict, _write_dict), ((list, tuple, np.ndarray), _write_seq), (_BOOLS, _write_bool),
+    (type(None), _write_none), ((int, np.integer), _write_int),
+    ((complex, np.complexfloating), _write_complex), ((float, np.floating), _write_float),
+    (str, _write_str),
+)
+
+
+def _write_json(obj, out: list, level: int) -> None:
+    write = _WRITERS.get(type(obj))
+    if write is None:
+        write = next((w for types, w in _WRITERS_BY_BASE if isinstance(obj, types)), None)
+        if write is None:
+            raise TypeError(f"cannot serialize {type(obj).__name__} to a report")
+    write(obj, out, level)
 
 
 def dumps_json(obj) -> str:
     """Serialize to JSON text with 17-significant-digit floats, indented by
     two spaces."""
-    out = io.StringIO()
+    out = []
     _write_json(obj, out, 0)
-    out.write("\n")
-    return out.getvalue()
+    out.append("\n")
+    return "".join(out)
 
 
 def csv_cell(value) -> str:
@@ -85,10 +136,15 @@ def csv_cell(value) -> str:
 
 
 def dumps_csv(header, rows) -> str:
-    """Flat CSV with the same float formatting as the JSON reports."""
+    """Flat CSV with the same float formatting as the JSON reports.  A row
+    of floats is one ``%.17g`` format, which prints nan and +-inf as
+    :func:`csv_cell` does."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(csv_cell(v) for v in row))
+        if all(type(v) in _FLOATS for v in row):
+            lines.append(",".join(["%.17g"] * len(row)) % tuple(row))
+        else:
+            lines.append(",".join(map(csv_cell, row)))
     return "\n".join(lines) + "\n"
 
 

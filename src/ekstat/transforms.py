@@ -9,6 +9,7 @@ pairs :func:`ratio_beta_pairs` gives.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -77,13 +78,18 @@ def ratio_beta_pairs(alphas: Sequence[float],
     b = np.asarray(betas, dtype=float)
     if a.ndim != 1 or a.shape != b.shape or a.size < 1:
         raise ParameterError("alphas and betas must be equal-length, non-empty")
-    later_a = np.concatenate([np.cumsum(a[::-1])[::-1][1:], [0.0]])
-    from_b = np.cumsum(b[::-1])[::-1]
-    firsts = a + 1.0
-    seconds = later_a + from_b + np.arange(a.size - 1, -1, -1, dtype=float)
-    if not (np.all(firsts > 0.0) and np.all(seconds > 0.0)):
+    a, b = a.tolist(), b.tolist()
+    # sums from coordinate j on, added from the last coordinate as
+    # np.cumsum of the reversal adds them
+    from_a = list(accumulate(reversed(a)))[::-1]
+    from_b = list(accumulate(reversed(b)))[::-1]
+    k = len(a)
+    firsts = [x + 1.0 for x in a]
+    seconds = [later + fb + float(k - 1 - j)
+               for j, (later, fb) in enumerate(zip(from_a[1:] + [0.0], from_b))]
+    if not (all(x > 0.0 for x in firsts) and all(x > 0.0 for x in seconds)):
         raise ParameterError(
-            f"ratio beta parameters must be positive, got firsts={firsts}, "
-            f"seconds={seconds}"
+            f"ratio beta parameters must be positive, got firsts={np.array(firsts)}, "
+            f"seconds={np.array(seconds)}"
         )
-    return tuple(zip(firsts.tolist(), seconds.tolist()))
+    return tuple(zip(firsts, seconds))

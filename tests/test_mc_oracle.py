@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import ekstat.kober as kober
 import ekstat.mc_oracle as mc_oracle
 from ekstat import transforms
 from ekstat.densities import SampleMatrix, beta_product_draws, dirichlet_draws
@@ -15,6 +16,7 @@ from ekstat.kober import (
     IDENTITY_IDS,
     DimParams,
     MultiDensity,
+    _eval_parts,
     eval_many,
     exponential_product,
     gamma_product,
@@ -265,11 +267,13 @@ class TestSampleCounts:
     """What ``verify`` computes from the sample alone is kept on the
     SampleMatrix and reused by later calls on the same object."""
 
-    @pytest.mark.parametrize("theorem,k", [("1.1", 1), ("2.4", 2), ("1.2", 3)])
+    @pytest.mark.parametrize("theorem,k", [(t, k) for t in IDENTITY_IDS for k in (1, 2)]
+                             + [("1.2", 3)])
     def test_reused_counts_write_the_fresh_reports(self, theorem, k):
+        # the controls after the first call rescale the sums kept on the sample
         spec = make_spec(theorem, k)
         samples = simulate(spec, 10**5, seed=71)
-        calls = [{}, {"constant_scale": 1.25}, {},
+        calls = [{}, {"constant_scale": 1.25}, {"constant_scale": 1.01}, {},
                  {"probes": [[0.5] * k, [1.0] * k, [1.5] * k]}, {}]
         for kwargs in calls:
             fresh = SampleMatrix(samples.data, samples.seed)
@@ -300,6 +304,60 @@ class TestSampleCounts:
         assert calls == {"_sorted_columns": 1, "default_probes": 1, "histogram_estimate": 2}
         verify(spec, samples=samples)
         assert calls["histogram_estimate"] == 2
+
+    @staticmethod
+    def _count_sums(monkeypatch):
+        calls = []
+        inner = kober._DimQuad.sums
+
+        def counted(self, u, factor):
+            calls.append(len(u))
+            return inner(self, u, factor)
+        monkeypatch.setattr(kober._DimQuad, "sums", counted)
+        return calls
+
+    def test_control_only_rescales(self, monkeypatch):
+        calls = self._count_sums(monkeypatch)
+        spec = make_spec("2.4", 2)     # the identity's reading and two candidates
+        samples = simulate(spec, 2 * 10**4, seed=76)
+        verify(spec, samples=samples)
+        assert calls
+        calls.clear()
+        verify(spec, samples=samples, constant_scale=1.25)
+        verify(spec, samples=samples)
+        assert calls == []
+
+    def test_unhashable_density(self):
+        @dataclasses.dataclass
+        class Pdf:       # a callable whose instances are not hashable
+            inner: object
+
+            def __call__(self, pts):
+                return self.inner(pts)
+
+        f = default_density(1)
+        spec = make_spec("1.1", 1, f=dataclasses.replace(f, pdf=Pdf(f.pdf)))
+        samples = simulate(spec, 2 * 10**4, seed=79)
+        verify(spec, samples=samples)
+        got = verify(spec, samples=samples, constant_scale=1.25)
+        want = verify(spec, samples=SampleMatrix(samples.data, samples.seed), constant_scale=1.25)
+        assert dumps_json(got.to_dict()) == dumps_json(want.to_dict())
+
+    @pytest.mark.parametrize("change", ["density", "nodes", "probes"])
+    def test_other_sums_are_not_reused(self, change, monkeypatch):
+        calls = self._count_sums(monkeypatch)
+        spec = make_spec("1.1", 2)
+        samples = simulate(spec, 2 * 10**4, seed=78)
+        verify(spec, samples=samples)
+        kwargs = {"nodes": {"n_nodes": 32}, "probes": {"probes": [[0.5, 0.5], [1.0, 1.5]]},
+                  "density": {}}[change]
+        if change == "density":   # the same shapes in a new object
+            spec = dataclasses.replace(spec, f=default_density(2))
+        calls.clear()
+        got = verify(spec, samples=samples, **kwargs)
+        assert calls
+        want = verify(spec, samples=SampleMatrix(samples.data, samples.seed), **kwargs)
+        assert dumps_json(got.to_dict()) == dumps_json(want.to_dict())
 
     def test_rows_are_read_only(self):
         data = np.full((4, 2), 0.5)
@@ -537,7 +595,7 @@ class TestBoxAverage:
 
     def test_no_box_above_zero_evaluates_nothing(self, monkeypatch):
         kind, dims, log_c = identity_setup("1.1", make_spec("1.1", 2).params)
-        monkeypatch.setattr(mc_oracle, "eval_many", None)
+        monkeypatch.setattr(mc_oracle, "_eval_parts", None)
         out = mc_oracle._box_average(kind, dims, mc_oracle.default_density(2),
                                      np.full((2, 2), -1.0), np.ones(2), 64, log_c)
         assert np.array_equal(out, np.zeros(2))
@@ -551,8 +609,8 @@ class TestBoxAverage:
 
         def counted(*args, **kw):
             calls.append(len(args[3]))
-            return eval_many(*args, **kw)
-        monkeypatch.setattr(mc_oracle, "eval_many", counted)
+            return _eval_parts(*args, **kw)
+        monkeypatch.setattr(mc_oracle, "_eval_parts", counted)
         batch = mc_oracle._box_average(kind, dims, f, probes, bw, 64, log_c)
         assert calls == [3**k * (len(probes) - 1)]
         single = [mc_oracle._box_average(kind, dims, f, p[None], bw, 64, log_c)[0] for p in probes]
