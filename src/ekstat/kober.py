@@ -26,11 +26,12 @@ extreme parameter regimes (pathway q near 1) never overflow.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -198,81 +199,115 @@ def check_grid(n: int, k: int) -> None:
 
 
 class _DimQuad:
-    """Nodes and weights for one dimension of an operator integral.
+    """Nodes and weights for one dimension of an operator integral, at one
+    or more rule sizes.
 
-    For an evaluation point ``u`` the dimension contributes
+    For an evaluation point ``u`` the dimension contributes, at each size,
     ``exp(top) * sum_i w_i * f(... v_i ...)`` (:meth:`_blocks`); the plan
     chooses between the plain Jacobi rule and the composite near/far-field
     split.  ``c`` is the pathway support factor a(1-q) (1 for the classical
     operators).  A plan takes an array of one dimension's coordinates at
     once (:meth:`sums`); :func:`_plan` keeps the plans built.
+
+    ``sizes`` holds the node counts: ``(n,)`` for a batch, ``(2n, n)`` for
+    a refined evaluation.  The sizes share one build and one factor call;
+    their arrays hold each size's columns in turn (:class:`_Layout`), bit
+    for bit what a plan of that size alone holds.
     """
 
-    def __init__(self, kind: str, zeta: float, alpha: float, c: float, n: int):
+    def __init__(self, kind: str, zeta: float, alpha: float, c: float, sizes: tuple[int, ...]):
         if kind not in ("second", "first"):
             raise UsageError(f"unknown operator kind {kind!r}")
         if kind == "first" and not zeta > 0.0:
             raise ParameterError("the first kind requires zeta > 0")
-        check_nodes(n)
+        for n in sizes:
+            check_nodes(n)
         self.kind = kind
         self.zeta = z = float(zeta)
         self.alpha = float(alpha)
         self.c = float(c)
-        self.n = int(n)
+        self.sizes = tuple(int(n) for n in sizes)
+        self.layout = _layout(self.sizes)
         # pathway prefactors: c^-zeta (second) or c^-(zeta+1) (first)
         self.extra_log = -(z if kind == "second" else z + 1.0) * math.log(self.c)
 
     @cached_property
     def _plain(self):
-        """Nodes t, top log weight and weights divided by exp(top) of the
-        plain rule, as the one row (shapes (1,) and (1, n)) that every
-        plain-regime coordinate shares, with -lnGamma(alpha) and the pathway
-        prefactor in the log weights.  The weight is (1-t)^(alpha-1) t^edge0;
-        the second kind folds its 1/t into edge0 = zeta - 1 only where that
-        exponent is above -1 in floating point, so for zeta <= 2^-54 (zeta = 0
-        included) edge0 = zeta and one power 1/t stays in the weights (nodes
-        are interior)."""
+        """Nodes t, top log weights and weights divided by exp(top) of the
+        plain rule, as the one row (shapes (1, nodes), (1, sizes) and
+        (1, nodes)) that every plain-regime coordinate shares, with
+        -lnGamma(alpha) and the pathway prefactor in the log weights.  The
+        weight is (1-t)^(alpha-1) t^edge0; the second kind folds its 1/t
+        into edge0 = zeta - 1 only where that exponent is above -1 in
+        floating point, so for zeta <= 2^-54 (zeta = 0 included) edge0 =
+        zeta and one power 1/t stays in the weights (nodes are interior)."""
         edge0 = self.zeta - 1.0 if self.kind == "second" else self.zeta
         keep_t = not edge0 > -1.0
-        rule = jacobi_rule(self.n, self.alpha - 1.0, self.zeta if keep_t else edge0)
-        logw = _log_weights(rule)
-        if keep_t:
-            logw = logw - np.log(rule.nodes)
-        logw = logw + rule.log_mass - math.lgamma(self.alpha) + self.extra_log
-        top = np.max(logw, keepdims=True)
-        w = np.exp(logw - top)[None]
-        for a in (top, w):
+        ts, tops, ws = [], [], []
+        for n in self.sizes:
+            rule = jacobi_rule(n, self.alpha - 1.0, self.zeta if keep_t else edge0)
+            logw = _log_weights(rule)
+            if keep_t:
+                logw = logw - np.log(rule.nodes)
+            logw = logw + rule.log_mass - math.lgamma(self.alpha) + self.extra_log
+            tops.append(np.max(logw))
+            ts.append(rule.nodes)
+            ws.append(np.exp(logw - tops[-1]))
+        t, top, w = np.concatenate(ts), np.array([tops]), np.concatenate(ws)[None]
+        for a in (t, top, w):
             a.setflags(write=False)
-        return rule.nodes, top, w
+        return t, top, w
 
     @cached_property
-    def _split_rules(self):
-        """The split's point-independent arrays: the kernel-edge Jacobi
-        rule, its log weights, its nodes as multiples of u (1 + t for the
-        second kind, 1 - t/2 for the first), and for the first kind the
-        semi-axis tail (log x, log w, x)."""
-        n_edge = self.n // 2 if self.kind == "second" else min(max(4, self.n // 4), self.n - 4)
-        edge = jacobi_rule(n_edge, 0.0, self.alpha - 1.0)
-        edge_logw = _log_weights(edge)
-        if self.kind == "second":
-            edge_v, tail = 1.0 + edge.nodes, ()
-        else:
-            edge_v = 1.0 - 0.5 * edge.nodes
-            # node variable is c*v, so the layout sits at scale c
-            log_x, log_w = semiaxis_log_rule(self.n - n_edge, "exp", math.log(self.c))
-            tail = (log_x, log_w, np.exp(log_x))
-        for a in (edge_logw, edge_v, *tail):
+    def _near_rules(self):
+        """The near field's point-independent arrays: the edge nodes as
+        multiples of u (1 + t), the edge log weights with the rule's log
+        mass and -lnGamma(alpha), and their layout; the index j of each tail
+        node on its w-grid (w = LO + j * step), its layout, and each size's
+        last tail column."""
+        lga = math.lgamma(self.alpha)
+        edges = [jacobi_rule(n // 2, 0.0, self.alpha - 1.0) for n in self.sizes]
+        tail = _layout(tuple(n - len(e.nodes) for n, e in zip(self.sizes, edges)))
+        edge_v = np.concatenate([1.0 + e.nodes for e in edges])
+        edge_logw = np.concatenate([_log_weights(e) + e.log_mass - lga for e in edges])
+        tail_j = np.concatenate([np.arange(m, dtype=float) for m in tail.lengths])
+        ends = np.array([cut.stop - 1 for cut in tail.cuts])
+        for a in (edge_v, edge_logw, tail_j, ends):
             a.setflags(write=False)
-        return edge, edge_logw, edge_v, tail
+        return edge_v, edge_logw, _layout(tuple(len(e.nodes) for e in edges)), tail_j, tail, ends
+
+    @cached_property
+    def _far_rules(self):
+        """The far field's point-independent arrays: the edge nodes as
+        multiples of u (1 - t/2), the edge log weights, each edge node's
+        rule log mass, and the edge node counts; the semi-axis tail's rows
+        (x, (zeta+1) log x, log w, -x), its log x, and each size's first
+        tail column."""
+        edges, tails = [], []
+        for n in self.sizes:
+            edges.append(jacobi_rule(min(max(4, n // 4), n - 4), 0.0, self.alpha - 1.0))
+            # node variable is c*v, so the layout sits at scale c
+            tails.append(semiaxis_log_rule(n - len(edges[-1].nodes), "exp", math.log(self.c)))
+        edge_v = np.concatenate([1.0 - 0.5 * e.nodes for e in edges])
+        edge_logw = np.concatenate([_log_weights(e) for e in edges])
+        edge_mass = np.concatenate([np.full(len(e.nodes), e.log_mass) for e in edges])
+        log_x, log_w = (np.concatenate(a) for a in zip(*tails))
+        x = np.exp(log_x)
+        tail = np.array([x, (self.zeta + 1.0) * log_x, log_w, -x])
+        for a in (edge_v, edge_logw, edge_mass, tail, log_x):
+            a.setflags(write=False)
+        starts = _layout(tuple(len(a) for a, _ in tails)).starts
+        return edge_v, edge_logw, edge_mass, tuple(len(e.nodes) for e in edges), tail, log_x, starts
 
     # The split regimes take an array of coordinates; row i of their nodes
-    # and log weights is what one coordinate alone gets, bit for bit.  The
-    # per-coordinate scalars go through math, as for one coordinate, and
-    # numpy takes only the arithmetic of whole rows.
+    # and log weights is what one coordinate alone gets, bit for bit, at
+    # every size.  The per-coordinate scalars go through math, as for one
+    # coordinate, and numpy takes only the arithmetic of whole rows, with
+    # every size's columns in one array.
 
     def _near_second(self, u: np.ndarray):
         """Second kind for coordinates u with c*u below :data:`_NEAR_FIELD`,
-        as one (rows, nodes, log weights) block (see :meth:`_far_first`).
+        as one (rows, nodes, log weights, layout) block (see :meth:`_far_first`).
 
         Edge part: v in (u, 2u) with the kernel power exact; tail part:
         v in (2u, inf) on scale-adapted nodes with a double-exponentially
@@ -281,9 +316,8 @@ class _DimQuad:
         reach v = inf.
         """
         z, a = self.zeta, self.alpha
-        edge, edge_logw, edge_v, _ = self._split_rules
+        edge_v, edge_logw, edge, tail_j, tail, ends = self._near_rules
         lga = math.lgamma(a)
-        m = self.n - len(edge.nodes)
         u_eff = self.c * u
         cols = []
         for x, point in zip(u_eff.tolist(), u.tolist()):
@@ -291,39 +325,45 @@ class _DimQuad:
                 raise DomainError(f"second-kind evaluation point {point} is too small: "
                                   f"its near-field tail grid would reach v = inf")
             lu = math.log(x)
-            # the tail's w-grid is np.linspace(LO, w_hi, m), reaching past v = 350
+            # each size's w-grid is np.linspace(LO, w_hi, m), reaching past v = 350
             w_hi = max(_EXP_SINH_HI, math.log(350.0 / x))
-            step = (w_hi - _EXP_SINH_LO) / (m - 1)
-            cols.append(((z + a) * lu, z * lu - lga, math.log(2.0 * x), 2.0 * x, w_hi, step,
-                         math.log((step + _EXP_SINH_LO) - _EXP_SINH_LO)))
-        lu_za, lu_z, log_2u, two_u, w_hi, step, log_h = np.array(cols).T[:, :, None]
+            row = [(z + a) * lu, z * lu - lga, math.log(2.0 * x), 2.0 * x, w_hi]
+            for m in tail.lengths:
+                step = (w_hi - _EXP_SINH_LO) / (m - 1)
+                row += step, math.log((step + _EXP_SINH_LO) - _EXP_SINH_LO)
+            cols.append(row)
+        table = np.array(cols)
+        lu_za, lu_z, log_2u, two_u, w_hi = table.T[:5, :, None]
         u_col = u_eff[:, None]
         v_edge = u_col * edge_v
-        logw_edge = edge_logw + edge.log_mass - lga + lu_za - (z + a) * np.log(v_edge)
         # tail nodes: v = 2u (1 + e^(w - e^-w))
-        w = np.arange(m, dtype=float) * step + _EXP_SINH_LO
-        w[:, -1:] = w_hi
+        w = tail_j * _spread(table[:, 5::2], tail)
+        w += _EXP_SINH_LO
+        w[:, ends] = w_hi
         e_neg = np.exp(-w)
         e = np.exp(w - e_neg)
         v_tail = two_u * (1.0 + e)
-        log_dv = log_2u + np.log(e) + np.log1p(e_neg) + log_h
-        logw_tail = (lu_z + log_dv + (a - 1.0) * np.log(v_tail - u_col)
-                     - (z + a) * np.log(v_tail))
-        return [(slice(None), np.concatenate([v_edge, v_tail], axis=1),
-                 np.concatenate([logw_edge, logw_tail], axis=1) + self.extra_log)]
+        log_dv = log_2u + np.log(e) + np.log1p(e_neg) + _spread(table[:, 6::2], tail)
+        v = _interleave(v_edge, edge, v_tail, tail)
+        # both parts end in - (z + a) log v, taken once for all nodes
+        logw = _interleave(edge_logw + lu_za, edge,
+                           lu_z + log_dv + (a - 1.0) * np.log(v_tail - u_col), tail)
+        logw -= (z + a) * np.log(v)
+        logw += self.extra_log
+        return [(slice(0, len(u)), v, logw, self.layout)]
 
     def _far_first(self, u: np.ndarray):
         """First kind for values u above :data:`_FAR_FIELD` * c, as a list
-        of (rows, nodes, log weights) blocks: row i of a block belongs to
-        ``u[rows][i]``, and a block holds the values that keep the same
-        number of tail nodes.
+        of (rows, nodes, log weights, layout) blocks: row i of a block belongs
+        to ``u[rows][i]``, and a block holds the values that keep the same
+        number of tail nodes at every size.
 
         Tail part: v in (0, u/2) on scale-adapted semi-axis nodes (the
         kernel is smooth there); edge part: v in (u/2, u) with the kernel
         power exact (the density is exponentially small there).
         """
         z, a = self.zeta, self.alpha
-        edge, edge_logw, edge_v, (log_x, log_w, x_tail) = self._split_rules
+        edge_v, edge_logw, edge_mass, n_edge, tail, log_x, tail_starts = self._far_rules
         lga, log2 = math.lgamma(a), math.log(2.0)
         cols = []
         for x in u.tolist():
@@ -332,67 +372,149 @@ class _DimQuad:
         lu, base, lu_half, edge_top = np.array(cols).T[:, :, None]
         u_col = u[:, None]
         v_edge = u_col * edge_v
-        logw_edge = base + edge_logw + edge.log_mass + z * np.log(v_edge) + edge_top
-        # the tail nodes increase, so the kept ones are a prefix
-        kept = np.count_nonzero(log_x < lu_half, axis=1).tolist()
-        counts = sorted(set(kept))
+        logw_edge = base + edge_logw + edge_mass + z * np.log(v_edge) + edge_top
+        # each size's tail nodes increase, so the kept ones are a prefix
+        groups = {}
+        for i, kept in enumerate(np.add.reduceat(log_x < lu_half, tail_starts, axis=1).tolist()):
+            groups.setdefault(tuple(kept), []).append(i)
         blocks = []
-        for m in counts:
-            rows = slice(None) if len(counts) == 1 else np.flatnonzero(np.equal(kept, m))
-            v_tail = x_tail[:m]
-            logw_tail = (base[rows] + (z + 1.0) * log_x[:m]
-                         + (a - 1.0) * (lu[rows] + np.log1p(-v_tail / u_col[rows])) + log_w[:m])
-            v = np.concatenate([np.broadcast_to(v_tail, logw_tail.shape), v_edge[rows]], axis=1)
-            blocks.append((rows, v / self.c,
-                           np.concatenate([logw_tail, logw_edge[rows]], axis=1) + self.extra_log))
+        for kept, rows in sorted(groups.items()):
+            rows = _run(rows)
+            tail_cols, tail_part, edge, layout = _far_layout(tail_starts, n_edge, kept)
+            x_tail, zeta_log_x, log_w, neg_x = tail[:, tail_cols]
+            logw_tail = (base[rows] + zeta_log_x
+                         + (a - 1.0) * (lu[rows] + np.log1p(neg_x / u_col[rows])) + log_w)
+            x_tail = np.broadcast_to(x_tail, logw_tail.shape)
+            v = _interleave(x_tail, tail_part, v_edge[rows], edge)
+            logw = _interleave(logw_tail, tail_part, logw_edge[rows], edge)
+            logw += self.extra_log
+            blocks.append((rows, v / self.c, logw, layout))
         return blocks
 
     def _blocks(self, u: np.ndarray) -> list[tuple]:
-        """(rows, nodes, top log weights, weights) blocks for an array of
-        checked coordinates: row i of a block belongs to ``u[rows][i]``, and
-        its weights are the regime's weights divided by exp(top[i]).  The
-        plain block's rows share its one row of top and weights, cached by
-        the plan.  Each rule is fetched once, when a coordinate first needs
-        its regime."""
+        """(rows, nodes, top log weights, weights, layout) blocks for an
+        array of checked coordinates: row i of a block belongs to
+        ``u[rows][i]``, and its columns ``layout.cuts[s]`` hold size s's
+        nodes and weights divided by exp(top[i, s]).  The plain block's
+        rows share its one row, cached by the plan.  Each rule is fetched
+        once, when a coordinate first needs its regime."""
         second, c = self.kind == "second", self.c
-        coords = u.tolist()
-        split = [c * x < _NEAR_FIELD for x in coords] if second else \
-            [x > _FAR_FIELD * c for x in coords]
+        split = [c * x < _NEAR_FIELD for x in u.tolist()] if second else \
+            [x > _FAR_FIELD * c for x in u.tolist()]
         n_split = sum(split)
         blocks = []
         if n_split:
-            rows = slice(None) if n_split == len(u) else np.flatnonzero(split)
-            index = np.arange(len(u))[rows]
-            for r, v, logw in (self._near_second if second else self._far_first)(u[rows]):
-                top = logw.max(axis=1)
-                blocks.append((index[r], v, top, np.exp(logw - top[:, None])))
+            rows = _rows(split, True, n_split)
+            for r, v, logw, layout in (self._near_second if second else self._far_first)(u[rows]):
+                top = np.maximum.reduceat(logw, layout.starts, axis=1)
+                logw -= _spread(top, layout)
+                blocks.append((_within(rows, r), v, top, np.exp(logw, out=logw), layout))
         if n_split < len(u):
             # plain: v = c*u/t (second kind) or u*t/c (first; nodes on (0, u/c))
-            rows = slice(None) if not n_split else np.flatnonzero(np.logical_not(split))
+            rows = _rows(split, False, len(u) - n_split)
             t, top, w = self._plain
             u_col = u[rows, None]
-            blocks.append((rows, c * u_col / t if second else u_col * t / c, top, w))
+            blocks.append((rows, c * u_col / t if second else u_col * t / c, top, w, self.layout))
         return blocks
 
-    def nodes_weights(self, u: float) -> tuple[np.ndarray, float, np.ndarray]:
-        """Nodes, top log weight and weights divided by exp(top) of one
-        coordinate."""
+    def nodes_weights(self, u: float) -> list[tuple[np.ndarray, float, np.ndarray]]:
+        """Per size, the nodes, top log weight and weights divided by
+        exp(top) of one coordinate."""
         coords = np.array([u], dtype=float)
         _check_coordinates(coords)
-        (_, v, top, w), = self._blocks(coords)
-        return v[0], float(top[0]), w[0]
+        (_, v, top, w, layout), = self._blocks(coords)
+        return [(v[0, cut], float(top[0, s]), w[0, cut]) for s, cut in enumerate(layout.cuts)]
 
     def sums(self, u: np.ndarray, factor: Callable[[np.ndarray], np.ndarray]):
-        """(sums, top log weights) for an array of checked coordinates: the
-        sum of ``factor`` over each coordinate's nodes with the weights of
-        its :meth:`_blocks` row.  One factor call per block; the rows are
-        summed by ``np.vecdot``, whose per-row order is that of one
+        """(sums, top log weights), each of shape (coordinates, sizes), for
+        an array of checked coordinates: the sum of ``factor`` over each
+        coordinate's nodes with the weights of its :meth:`_blocks` row, at
+        each size.  One factor call per block, on every size's nodes; the
+        rows are summed by ``np.vecdot``, whose per-row order is that of one
         coordinate alone (a matrix product's is not)."""
-        sums, tops = np.empty(len(u)), np.empty(len(u))
-        for rows, v, top, w in self._blocks(u):
-            sums[rows] = np.vecdot(_density_values(factor, v, v.shape), w)
+        sums, tops = np.empty((len(u), len(self.sizes))), np.empty((len(u), len(self.sizes)))
+        for rows, v, top, w, layout in self._blocks(u):
+            vals = _density_values(factor, v, v.shape)
+            for s, (x, y) in enumerate(zip(_columns(vals, layout), _columns(w, layout))):
+                sums[rows, s] = np.vecdot(x, y)
             tops[rows] = top
         return sums, tops
+
+
+class _Layout(NamedTuple):
+    """Where each rule size's columns sit in an array that holds every
+    size's columns in turn: a column slice, first column and length per
+    size.  With one size the helpers below take such arrays whole."""
+
+    cuts: tuple[slice, ...]
+    starts: tuple[int, ...]
+    lengths: tuple[int, ...]
+
+
+@lru_cache(maxsize=1024)
+def _layout(lengths: tuple[int, ...]) -> _Layout:
+    ends = tuple(itertools.accumulate(lengths))
+    starts = tuple(end - m for end, m in zip(ends, lengths))
+    return _Layout(tuple(map(slice, starts, ends)), starts, lengths)
+
+
+def _spread(cols: np.ndarray, layout: _Layout) -> np.ndarray:
+    """Per-size columns (rows, sizes), each repeated over its size's columns."""
+    return cols if len(layout.lengths) == 1 else np.repeat(cols, layout.lengths, axis=1)
+
+
+def _columns(a: np.ndarray, layout: _Layout):
+    """Each size's columns of ``a``."""
+    return (a,) if len(layout.lengths) == 1 else [a[:, cut] for cut in layout.cuts]
+
+
+def _interleave(a: np.ndarray, a_layout: _Layout, b: np.ndarray, b_layout: _Layout) -> np.ndarray:
+    """Each size's columns of ``a`` and then of ``b``, size after size."""
+    if len(a_layout.lengths) == 1:
+        return np.concatenate([a, b], axis=1)
+    return np.concatenate([x for ca, cb in zip(a_layout.cuts, b_layout.cuts)
+                           for x in (a[:, ca], b[:, cb])], axis=1)
+
+
+@lru_cache(maxsize=1024)
+def _far_layout(tail_starts: tuple[int, ...], n_edge: tuple[int, ...], kept: tuple[int, ...]):
+    """(tail columns, tail layout, edge layout, block layout) of a far-field
+    block keeping the first ``kept[s]`` tail nodes of size s: the columns
+    select them from the plan's tail rows, and the block holds each size's
+    kept tail and then its edge."""
+    if len(kept) == 1:
+        cols = slice(kept[0])
+    else:
+        cols = np.concatenate([np.arange(s, s + m) for s, m in zip(tail_starts, kept)])
+        cols.setflags(write=False)
+    return cols, _layout(kept), _layout(n_edge), _layout(tuple(map(sum, zip(kept, n_edge))))
+
+
+def _rows(mask: list[bool], value: bool, count: int):
+    """Selector of the ``count`` rows where ``mask`` is ``value``: a slice
+    when they are consecutive, as a regime's rows of sorted coordinates
+    are, else an index array."""
+    if count == len(mask):
+        return slice(0, count)
+    rows = [i for i, x in enumerate(mask) if x is value]
+    return _run(rows)
+
+
+def _run(rows: list[int]):
+    """Selector of ascending row indices (see :func:`_rows`)."""
+    if rows[-1] - rows[0] + 1 == len(rows):
+        return slice(rows[0], rows[-1] + 1)
+    return np.array(rows)
+
+
+def _within(rows, r):
+    """The selector of rows ``r`` of the rows ``rows`` (each a slice from
+    :func:`_run` or an index array)."""
+    if not isinstance(rows, slice):
+        return rows[r]
+    if isinstance(r, slice):
+        return slice(rows.start + r.start, rows.start + r.stop)
+    return r + rows.start
 
 
 # a plan's arrays are read-only, so one plan serves every evaluation with
@@ -455,22 +577,26 @@ def _scaled(totals: Sequence[float], log_sums: Sequence[float], log_shift: float
 
 
 def _dense_point(plans: Sequence[_DimQuad], point: Sequence[float],
-                 pdf: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
-    """(unscaled total, fsum of top log weights) of the operator at one
-    point: the sum of ``pdf`` over the tensor grid of the dimensions' nodes."""
-    nodes, scales, weights = zip(*(plan.nodes_weights(u) for plan, u in zip(plans, point)))
-    pts = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)
-    acc = _density_values(pdf, pts, pts.shape[:-1])
-    for w in reversed(weights):
-        acc = np.tensordot(acc, w, axes=([-1], [0]))
-    return float(acc), math.fsum(scales)
+                 pdf: Callable[[np.ndarray], np.ndarray]) -> list[tuple[float, float]]:
+    """Per rule size, (unscaled total, fsum of top log weights) of the
+    operator at one point: the sum of ``pdf`` over the tensor grid of the
+    dimensions' nodes."""
+    out = []
+    for dims in zip(*(plan.nodes_weights(u) for plan, u in zip(plans, point))):
+        nodes, scales, weights = zip(*dims)
+        pts = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)
+        acc = _density_values(pdf, pts, pts.shape[:-1])
+        for w in reversed(weights):
+            acc = np.tensordot(acc, w, axes=([-1], [0]))
+        out.append((float(acc), math.fsum(scales)))
+    return out
 
 
 def _separable_parts(plans: Sequence[_DimQuad], points: np.ndarray,
-                     factors: Sequence[Callable[[np.ndarray], np.ndarray]]) -> tuple[list, list]:
-    """(unscaled totals, fsums of top log weights) of the operator at the
-    (m, k) points of a product density: per point, the product of one
-    weighted factor sum per dimension, in dimension order.
+                     factors: Sequence[Callable[[np.ndarray], np.ndarray]]) -> list[tuple]:
+    """Per rule size, (unscaled totals, fsums of top log weights) of the
+    operator at the (m, k) points of a product density: per point, the
+    product of one weighted factor sum per dimension, in dimension order.
 
     Sum j depends on coordinate j alone, so each dimension sums its
     distinct coordinates once, in one batch, and a tensor grid of points
@@ -479,16 +605,36 @@ def _separable_parts(plans: Sequence[_DimQuad], points: np.ndarray,
     density error.
     """
     _check_coordinates(points)
-    total, tops = None, []
+    totals, tops = None, []
     for plan, factor, u in zip(plans, factors, points.T):
         if len(u) == 1:
             s, top = plan.sums(u, factor)
         else:
             distinct, inverse = np.unique(u, return_inverse=True)
             s, top = (a[inverse] for a in plan.sums(distinct, factor))
-        total = s if total is None else total * s
-        tops.append(top.tolist())
-    return total.tolist(), [math.fsum(scales) for scales in zip(*tops)]
+        totals = s if totals is None else totals * s
+        tops.append(top.T.tolist())
+    return [(total, [math.fsum(scales) for scales in zip(*size_tops)])
+            for total, *size_tops in zip(totals.T.tolist(), *tops)]
+
+
+def _sized_parts(kind: str, params, f: MultiDensity, points: np.ndarray,
+                 sizes: tuple[int, ...]) -> list[tuple[list, list]]:
+    """:func:`_eval_parts` at each rule size of ``sizes``, in one pass:
+    each dimension builds the nodes of every size at once and makes one
+    factor call for them.  The dense path checks the largest grid against
+    the budget before it builds any."""
+    k = len(params)
+    if k != f.dim:
+        raise ShapeError(f"density dimension {f.dim} != parameter count {k}")
+    if points.shape[-1] != k:
+        raise ShapeError(f"points must have {k} coordinates")
+    plans = [_plan(kind, *_zeta_alpha_c(p), sizes) for p in params]
+    if f.factors is not None:
+        return _separable_parts(plans, points, f.factors)
+    check_grid(max(sizes), k)
+    parts = [_dense_point(plans, pt, f.pdf) for pt in points.tolist()]
+    return [([p[s][0] for p in parts], [p[s][1] for p in parts]) for s in range(len(sizes))]
 
 
 def _eval_parts(kind: str, params, f: MultiDensity, points: np.ndarray,
@@ -498,17 +644,7 @@ def _eval_parts(kind: str, params, f: MultiDensity, points: np.ndarray,
     of its top log weights.  :func:`_scaled` finishes a value from them, so
     a caller that keeps them (``mc_oracle``'s negative controls) rescales
     without summing again."""
-    k = len(params)
-    if k != f.dim:
-        raise ShapeError(f"density dimension {f.dim} != parameter count {k}")
-    if points.shape[-1] != k:
-        raise ShapeError(f"points must have {k} coordinates")
-    plans = [_plan(kind, *_zeta_alpha_c(p), n) for p in params]
-    if f.factors is not None:
-        return _separable_parts(plans, points, f.factors)
-    check_grid(n, k)
-    parts = [_dense_point(plans, pt, f.pdf) for pt in points.tolist()]
-    return [t for t, _ in parts], [s for _, s in parts]
+    return _sized_parts(kind, params, f, points, (n,))[0]
 
 
 def eval_many(kind: str, params, f: MultiDensity, points,
@@ -531,11 +667,21 @@ def eval_many(kind: str, params, f: MultiDensity, points,
 def _operator_result(kind: str, params, f: MultiDensity, u,
                      n: int, refine: bool) -> OperatorResult:
     u = np.atleast_1d(np.asarray(u, float))
-    # the 2n evaluation goes first, so an over-budget refinement fails
-    # before any grid is built
-    fine = float(eval_many(kind, params, f, u, 2 * n)) if refine else None
-    value = float(eval_many(kind, params, f, u, n))
-    err = None if fine is None else abs(value - fine)
+    single = u.ndim == 1
+    if refine and n < _MIN_NODES <= 2 * n:
+        # a refinement below the node minimum fails as two passes would:
+        # the 2n evaluation's faults come before the refusal of n
+        eval_many(kind, params, f, u, 2 * n)
+    # the 2n rule goes first, so an over-budget refinement fails before
+    # any grid is built; both sizes share each dimension's node build and
+    # factor call, and each is finished on its own, 2n first
+    sizes = (2 * n, n) if refine else (n,)
+    values = []
+    for parts in _sized_parts(kind, params, f, u[None, :] if single else u, sizes):
+        out = _scaled(*parts, 0.0)
+        values.append(float(out[0] if single else out))
+    value = values[-1]
+    err = abs(value - values[0]) if refine else None
     return OperatorResult(value=value, est_error=err, n_nodes=n)
 
 
@@ -595,8 +741,9 @@ def operator_image(kind: str, params, f: MultiDensity,
     def factor(p, f_j: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
         def image_j(x: np.ndarray) -> np.ndarray:
             x = np.asarray(x, dtype=float)
-            plan = _plan(kind, *_zeta_alpha_c(p), n)
-            return _scaled(*_separable_parts([plan], x.reshape(-1, 1), (f_j,)), 0.0).reshape(x.shape)
+            plan = _plan(kind, *_zeta_alpha_c(p), (n,))
+            (parts,) = _separable_parts([plan], x.reshape(-1, 1), (f_j,))
+            return _scaled(*parts, 0.0).reshape(x.shape)
         return image_j
 
     tail = "exp" if (kind == "second" and f.tail == "exp") else "algebraic"

@@ -54,10 +54,18 @@ def _write_complex(obj, out: list, level: int) -> None:
                f'{pad_in}"im": {_fmt_float(float(obj.imag))}\n{"  " * level}}}')
 
 
-def _write_str(obj, out: list, level: int) -> None:
-    escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
+def _quoted(s: str) -> str:
+    """``s`` as a JSON string: quote and backslash escaped, and control
+    characters as \\u escapes."""
+    if s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    escaped = s.replace("\\", "\\\\").replace('"', '\\"')
     escaped = "".join(c if c >= " " else f"\\u{ord(c):04x}" for c in escaped)
-    out.append('"' + escaped + '"')
+    return '"' + escaped + '"'
+
+
+def _write_str(obj, out: list, level: int) -> None:
+    out.append(_quoted(obj))
 
 
 def _write_dict(obj, out: list, level: int) -> None:
@@ -67,7 +75,7 @@ def _write_dict(obj, out: list, level: int) -> None:
     pad_in = "  " * (level + 1)
     sep = "{\n"
     for key, val in obj.items():
-        out.append(f'{sep}{pad_in}"{key}": ')
+        out.append(f"{sep}{pad_in}{_quoted(str(key))}: ")
         _write_json(val, out, level + 1)
         sep = ",\n"
     out.append("\n" + "  " * level + "}")

@@ -18,6 +18,7 @@ from ekstat.errors import (
 from ekstat.kober import (
     DimParams,
     MultiDensity,
+    ScaledDimParams,
     density_constant,
     eval_many,
     exponential_product,
@@ -168,7 +169,7 @@ class TestRegimeThresholds:
     C = 1.125
 
     def regime(self, monkeypatch, kind, u):
-        plan = kober._DimQuad(kind, 0.8, 1.7, self.C, 64)
+        plan = kober._DimQuad(kind, 0.8, 1.7, self.C, (64,))
         taken = []
 
         def spy(name):
@@ -350,13 +351,14 @@ class TestEvaluationPlumbing:
 
     def test_cached_plan_arrays_are_read_only(self):
         for kind, u in (("second", [0.01, 1.0]), ("first", [1.0, 300.0, 1e4])):
-            plan = kober._plan(kind, 1.5, 0.7, 1.0, 64)
-            assert plan is kober._plan(kind, 1.5, 0.7, 1.0, 64)
-            plan.sums(np.array(u), lambda x: np.exp(-x))  # builds every rule of both regimes
-            edge, edge_logw, edge_v, tail = plan._split_rules
-            arrays = [*plan._plain, edge.nodes, edge.weights_unit,
-                      edge_logw, edge_v, *tail]
-            assert not any(a.flags.writeable for a in arrays)
+            for sizes in ((64,), (128, 64)):
+                plan = kober._plan(kind, 1.5, 0.7, 1.0, sizes)
+                assert plan is kober._plan(kind, 1.5, 0.7, 1.0, sizes)
+                plan.sums(np.array(u), lambda x: np.exp(-x))  # builds every rule of both regimes
+                split = plan._near_rules if kind == "second" else plan._far_rules
+                arrays = [a for a in (*plan._plain, *split) if isinstance(a, np.ndarray)]
+                assert len(arrays) == (7 if kind == "second" else 8)
+                assert not any(a.flags.writeable for a in arrays)
 
     def test_dimension_cap(self, monkeypatch):
         # the default budget admits refined k=3 at n=64 and refuses k=4
@@ -561,6 +563,78 @@ class TestSeparableBatches:
         with pytest.raises(EvaluationError, match="not finite at") as info:
             eval_many("first", [DimParams(1.0, 1.0)] * 2, f, pts)
         assert 2.0 < info.value.point < 5.0
+
+
+class TestRefinedPass:
+    """A refined evaluation builds and sums its n- and 2n-node rules in one
+    pass; its value and error are bit for bit those of one pass per size."""
+
+    # classical, pathway and scaled dimensions per kind, and a point per
+    # regime (second: near field, plain, plain far out; first: plain near
+    # 0, plain, far field); c = 1.125, 1.125 and 0.5, 0.8
+    DIMS = {
+        "second": (DimParams(0.5, 1.5), PathwayDimParams(1.5, 0.25, 2.0, 0.8),
+                   ScaledDimParams(-0.3, 0.7, 1.125)),
+        "first": (DimParams(1.5, 1.0), PathwayDimParams(1.0, 0.5, 1.0, 1.5),
+                  ScaledDimParams(1.2, 1.3, 0.8)),
+    }
+    REGIMES = {"second": (0.01, 1.3, 30.0), "first": (1e-3, 1.3, 1e3)}
+    EVAL = {"second": kober2_eval, "first": kober1_eval}
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("k, dense", [(1, False), (2, False), (3, False), (1, True), (2, True)])
+    @pytest.mark.parametrize("kind", ["second", "first"])
+    def test_bit_identical_to_one_pass_per_size(self, kind, k, dense, n):
+        dims = self.DIMS[kind][:k]
+        f = gamma_product((2.0, 3.0, 2.5)[:k])
+        if dense:
+            f = dataclasses.replace(f, factors=None)
+        # each point puts every regime in some dimension
+        for u in (np.roll(self.REGIMES[kind], -r)[:k] for r in range(3)):
+            res = self.EVAL[kind](u, dims, f, n=n)
+            value = eval_many(kind, dims, f, u, n)
+            assert res.value == value > 0.0
+            assert res.est_error == abs(value - eval_many(kind, dims, f, u, 2 * n))
+            once = self.EVAL[kind](u, dims, f, n=n, refine=False)
+            assert once.value == res.value and once.est_error is None
+
+    @pytest.mark.parametrize("kind", ["second", "first"])
+    def test_one_factor_call_per_dimension(self, kind):
+        calls = []
+        f = _counted_factors(gamma_product((2.0, 3.0, 2.5)), calls)
+        res = self.EVAL[kind](np.array(self.REGIMES[kind]), self.DIMS[kind], f, n=64)
+        assert res.value > 0.0
+        assert [j for j, _ in calls] == [0, 1, 2]
+        # a call takes the 128 nodes of the refinement and the 64 of n (the
+        # far field drops the tail nodes past u/2)
+        assert calls[1] == (1, 192) and all(m <= 192 for _, m in calls)
+
+    def test_dense_refinement_over_budget_calls_no_density(self):
+        # 256**3 nodes are over the budget; 128**3 would not be
+        f = MultiDensity(dim=3, pdf=_pdf_not_called)
+        with pytest.raises(SizeError, match="256 nodes in each of 3"):
+            kober2_eval(np.ones(3), [DimParams(0.5, 1.0)] * 3, f, n=128)
+
+    def test_near_field_refusal_when_refined(self):
+        with pytest.raises(DomainError, match="point 1e-310 is too small"):
+            kober2_eval(np.array([1e-310]), [DimParams(0.5, 1.5)], gamma_product((2.0,)))
+
+    def test_overflow_when_refined(self):
+        with pytest.raises(OverflowError, match="log prefactor"):
+            kober2_eval(np.array([1e-300, 1e-300]), [DimParams(-0.9, 0.1)] * 2,
+                        gamma_product((2.0, 2.0)))
+
+    def test_too_few_nodes_is_refused_after_the_2n_faults(self):
+        # with n = 4 the 2n = 8 evaluation is admissible, and its fault
+        # comes first, as in one pass per size
+        f = gamma_product((2.0,))
+        with pytest.raises(DomainError, match="finite and positive"):
+            kober2_eval(np.array([-1.0]), [DimParams(0.5, 1.0)], f, n=4)
+        with pytest.raises(EvaluationError):
+            kober2_eval(np.array([1.0]), [DimParams(0.5, 1.0)],
+                        MultiDensity(dim=1, pdf=lambda p: np.full(p.shape[:-1], np.nan)), n=4)
+        with pytest.raises(ParameterError, match="at least 8 nodes"):
+            kober2_eval(np.array([1.0]), [DimParams(0.5, 1.0)], f, n=4)
 
 
 class TestPlainRegimeReference:

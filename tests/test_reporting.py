@@ -3,7 +3,6 @@ a property test against the standard library's encoder."""
 
 import json
 import re
-import string
 
 import numpy as np
 import pytest
@@ -60,6 +59,18 @@ class TestScalars:
         assert dumps_json('say "hi"\\now') == '"say \\"hi\\"\\\\now"\n'
         assert dumps_json("a\tb\nc\x00\x1f") == '"a\\u0009b\\u000ac\\u0000\\u001f"\n'
         assert dumps_json("µ→ü") == '"µ→ü"\n'
+
+    @pytest.mark.parametrize("key,text", [
+        ('x"y', '"x\\"y"'),
+        ("back\\slash", '"back\\\\slash"'),
+        ("tab\tkey", '"tab\\u0009key"'),
+        ("µ→ü", '"µ→ü"'),
+    ])
+    def test_keys_are_escaped(self, key, text):
+        doc = {key: 1, "plain": 2}
+        out = dumps_json(doc)
+        assert out == "{\n  " + text + ': 1,\n  "plain": 2\n}\n'
+        assert json.loads(out) == doc
 
     @pytest.mark.parametrize("value", [{1, 2}, object(), b"bytes", [1.0, {2}]])
     def test_unsupported_type(self, value):
@@ -144,14 +155,15 @@ class TestCsv:
             [",".join(map(csv_cell, row)) for row in rows]
 
 
-# nested finite floats, ints, bools and printable ASCII strings; object keys
-# are alphanumeric, since the writer does not escape keys
+# nested finite floats, ints, bools and printable ASCII strings, which are
+# also the object keys (quotes and backslashes included)
+_PRINTABLE = st.characters(min_codepoint=0x20, max_codepoint=0x7e)
 _SCALARS = (st.floats(allow_nan=False, allow_infinity=False) | st.integers() | st.booleans()
-            | st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e), max_size=8))
+            | st.text(_PRINTABLE, max_size=8))
 _DOCS = st.recursive(
     _SCALARS,
     lambda inner: st.lists(inner, max_size=5)
-    | st.dictionaries(st.text(string.ascii_letters + string.digits, max_size=6), inner, max_size=5),
+    | st.dictionaries(st.text(_PRINTABLE, max_size=6), inner, max_size=5),
     max_leaves=25)
 
 
