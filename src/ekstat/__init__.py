@@ -12,13 +12,11 @@ from .densities import (
     SampleMatrix,
     beta1_pdf,
     beta1_sample,
-    dirichlet1_pdf,
     dirichlet1_sample,
     gen_dirichlet1_pdf,
     gen_dirichlet1_sample,
     pathway_factor,
     pathway_limit_factor,
-    pathway_norm_const,
     pathway_pdf,
     pathway_sample,
 )
@@ -38,8 +36,6 @@ from .kober import (
     DimParams,
     MultiDensity,
     OperatorResult,
-    density_constant,
-    exponential_product,
     gamma_product,
     kober1_eval,
     kober2_eval,

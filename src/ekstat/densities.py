@@ -221,14 +221,6 @@ def beta1_pdf(x, p: BetaParams):
     return _beta_pdf(x, p.first, p.second)
 
 
-def dirichlet1_pdf(x, p: DirichletParams):
-    """Joint type-1 Dirichlet density on the open simplex; 0 outside.
-
-    ``x`` has shape (..., k) with k = ``p.dim``.
-    """
-    return gen_dirichlet1_pdf(x, p)
-
-
 def gen_dirichlet1_pdf(x, p: GenDirichletParams | DirichletParams):
     """Generalized type-1 Dirichlet density on the nested simplex; 0 outside.
 
@@ -248,11 +240,6 @@ def gen_dirichlet1_pdf(x, p: GenDirichletParams | DirichletParams):
     pairs = transforms.ratio_beta_pairs(p.alphas, p.betas)
     betas = np.prod([_beta_pdf(y[..., j], f, s) for j, (f, s) in enumerate(pairs)], axis=0)
     return _with_support(betas / transforms.jacobian(y), inside, x.ndim == 1)
-
-
-def pathway_norm_const(p: PathwayDimParams) -> float:
-    """Pathway normalizing constant (linear scale)."""
-    return math.exp(_beta_log_norm(*p.beta_law))
 
 
 def pathway_pdf(x, p: PathwayDimParams):

@@ -107,14 +107,6 @@ class DimParams:
 
 
 @dataclass(frozen=True)
-class ScaledDimParams(DimParams):
-    """Operator parameters with the pathway support factor a(1-q); see
-    :func:`identity_setup`."""
-
-    scale_factor: float
-
-
-@dataclass(frozen=True)
 class MultiDensity:
     """A joint density of ``dim`` positive variables.
 
@@ -542,7 +534,7 @@ def _zeta_alpha_c(p) -> tuple[float, float, float]:
     """Operator zeta, alpha and support factor of one dimension's parameters."""
     if isinstance(p, PathwayDimParams):
         return (p.zeta,) + p.beta_law[1:]
-    return p.zeta, p.alpha, getattr(p, "scale_factor", 1.0)
+    return p.zeta, p.alpha, 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -787,16 +779,25 @@ DIRICHLET = Family("dirichlet", DirichletParams, per_dim=False, scalars=("alpha_
 GEN_DIRICHLET = Family("gen-dirichlet", GenDirichletParams, per_dim=False)
 
 
+# first - zeta of a mixing beta: u = y * v with y ~ Beta(zeta + 1, alpha)
+# has the second-kind operator, u = v / y with y ~ Beta(zeta, alpha) the first
+_FIRST_SHIFT = {"second": 1.0, "first": 0.0}
+
+
 @dataclass(frozen=True)
 class MixingLaw:
     """The law of an identity's mixing coordinates y: column j is
     Beta(first, second)/c for the triple ``triples[j]``, independent
-    across j.  ``dirichlet`` is set for 1.2/2.4, whose mixing vector is a
-    type-1 Dirichlet: y is the triangular map of its draws, and the
-    triples (c = 1) are the laws of those ratio coordinates."""
+    across j.  ``dims``, the operator's per-dimension records, is set
+    where the family states them; else every c is 1 and dimension j is
+    ``DimParams(first - shift, second)``.  ``dirichlet`` is set for
+    1.2/2.4, whose mixing vector is a type-1 Dirichlet: y is the
+    triangular map of its draws, and the triples are the laws of those
+    ratio coordinates."""
 
     kind: str
     triples: tuple[tuple[float, float, float], ...]
+    dims: tuple | None = None
     dirichlet: DirichletParams | None = None
 
     def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
@@ -806,14 +807,12 @@ class MixingLaw:
         return beta_product_draws(gen, count, self.triples)
 
     def setup(self):
-        """(kind, operator dims, log constant): per dimension ``zeta =
-        first - [kind == second]``, ``alpha = second``, support factor c,
-        and the constant ``prod Gamma(first) c^-first / Gamma(first + second)``."""
+        """(kind, operator dims, log constant), the constant being
+        ``prod Gamma(first) c^-first / Gamma(first + second)``."""
         if not all(f > 0.0 and s > 0.0 for f, s, _ in self.triples):
             raise ParameterError(f"mixing beta laws (first, second, c) need positive "
                                  f"first and second, got {self.triples}")
-        shift = 1.0 if self.kind == "second" else 0.0
-        dims = tuple(ScaledDimParams(f - shift, s, c) for f, s, c in self.triples)
+        dims = self.dims or tuple(DimParams(f - _FIRST_SHIFT[self.kind], s) for f, s, _ in self.triples)
         # keep this order of operations: reports depend on the constant bit for bit
         log_c = sum(math.lgamma(f) - f * math.log(c) - math.lgamma(f + s)
                     for f, s, c in self.triples)
@@ -843,15 +842,16 @@ class Identity:
 
     def law(self, params) -> MixingLaw:
         """The mixing law of the family record ``params``: per dimension
-        (zeta + shift, alpha, c), shift = 1 for the second kind, or the
-        ratio coordinates' :func:`~ekstat.transforms.ratio_beta_pairs`."""
+        (zeta + shift, alpha, c) with the records themselves as the
+        operator dims, or the ratio coordinates'
+        :func:`~ekstat.transforms.ratio_beta_pairs`."""
         if self.family.per_dim:
-            shift = 1.0 if self.kind == "second" else 0.0
-            return MixingLaw(self.kind, tuple((z + shift, a, c)
-                                              for z, a, c in map(_zeta_alpha_c, params)))
+            shift = _FIRST_SHIFT[self.kind]
+            triples = tuple((z + shift, a, c) for z, a, c in map(_zeta_alpha_c, params))
+            return MixingLaw(self.kind, triples, tuple(params))
         pairs = transforms.ratio_beta_pairs(params.alphas, params.betas)
         return MixingLaw(self.kind, tuple((f, s, 1.0) for f, s in pairs),
-                         params if isinstance(params, DirichletParams) else None)
+                         dirichlet=params if isinstance(params, DirichletParams) else None)
 
 
 def _printed_1_3(p, pairs):
@@ -914,10 +914,12 @@ def identity_setup(theorem: str, params):
     for one catalogued operator-density identity.
 
     ``params`` is the record of the identity's mixing family in
-    :data:`IDENTITIES`.  The constant is the factor c with ``c * (joint
-    density of u) = operator applied to f``; for the pathway identities it
-    carries the support-scale power ``[a(1-q)]^(zeta+1)`` (second kind) or
-    ``[a(1-q)]^zeta`` (first kind) alongside the gamma ratio.
+    :data:`IDENTITIES`; a per-dimension family's records are the operator
+    dims as given (see :class:`MixingLaw`).  The constant is the factor c
+    with ``c * (joint density of u) = operator applied to f``; for the
+    pathway identities it carries the support-scale power
+    ``[a(1-q)]^(zeta+1)`` (second kind) or ``[a(1-q)]^zeta`` (first kind)
+    alongside the gamma ratio.
     """
     rec = identity_record(theorem)
     fam = rec.family
@@ -928,13 +930,8 @@ def identity_setup(theorem: str, params):
 
 
 # ---------------------------------------------------------------------------
-# density constants and fused predicted densities
+# fused predicted densities
 # ---------------------------------------------------------------------------
-
-def density_constant(theorem: str, params) -> float:
-    """Constant c with ``c * g = operator(f)`` for the identity ``theorem``."""
-    return math.exp(identity_setup(theorem, params)[2])
-
 
 def predicted_density(theorem: str, params, f: MultiDensity, points,
                       n: int = DEFAULT_NODES, constant_scale: float = 1.0) -> np.ndarray:
@@ -985,7 +982,10 @@ def gamma_product(shapes: Sequence[float], name: str = "") -> MultiDensity:
     def factor(j: int) -> Callable[[np.ndarray], np.ndarray]:
         def pdf_j(x: np.ndarray) -> np.ndarray:
             x = np.asarray(x, dtype=float)
-            return np.where(x > 0.0, np.exp(log_pdf(np.where(x > 0.0, x, 1.0), j)), 0.0)
+            inside = x > 0.0
+            if inside.all():  # operator and Mellin nodes always are
+                return np.exp(log_pdf(x, j))
+            return np.where(inside, np.exp(log_pdf(np.where(inside, x, 1.0), j)), 0.0)
         return pdf_j
 
     def from_uniforms(gen: np.random.Generator, count: int) -> np.ndarray:
@@ -1003,8 +1003,3 @@ def gamma_product(shapes: Sequence[float], name: str = "") -> MultiDensity:
         dim=k, pdf=pdf, from_uniforms=from_uniforms, mellin=mellin, tail="exp",
         name=name or f"gamma-product{shapes}", factors=tuple(map(factor, range(k))),
     )
-
-
-def exponential_product(k: int = 1) -> MultiDensity:
-    """Product of unit-rate exponential densities (gamma shapes all 1)."""
-    return gamma_product((1.0,) * k, name=f"exponential-product(k={k})")

@@ -165,9 +165,8 @@ def kober_mellin_ratio(kind: str, params: Sequence[DimParams], s) -> complex:
     Per dimension the Gamma argument is ``arg = zeta_j + s_j`` (second
     kind) or ``arg = 1 + zeta_j - s_j`` (first kind), and the factor is
     ``Gamma(arg) / Gamma(arg + alpha_j)`` times ``c_j^-arg`` for the
-    support factor c_j (pathway parameters, or the scaled dims of
-    :func:`ekstat.kober.identity_setup`; 1 for the classical operators):
-    the operator is the classical one at c*u or u/c.
+    support factor c_j (``a(1-q)`` for pathway parameters, 1 for the
+    classical operators): the operator is the classical one at c*u or u/c.
     """
     if kind not in ("second", "first"):
         raise UsageError(f"unknown operator kind {kind!r}")

@@ -18,10 +18,7 @@ from ekstat.errors import (
 from ekstat.kober import (
     DimParams,
     MultiDensity,
-    ScaledDimParams,
-    density_constant,
     eval_many,
-    exponential_product,
     gamma_product,
     identity_setup,
     kober1_eval,
@@ -53,13 +50,13 @@ class TestSecondKind:
     def test_exponential_integral_case(self):
         # zeta -> 0 (shifted-weight path), alpha = 1: K f(1) = E1(1)
         assert exp1_series(1.0) == pytest.approx(E1_AT_ONE, rel=1e-14)
-        res = kober2_eval(np.array([1.0]), [DimParams(0.0, 1.0)], exponential_product(1))
+        res = kober2_eval(np.array([1.0]), [DimParams(0.0, 1.0)], gamma_product((1.0,)))
         assert res.value == pytest.approx(E1_AT_ONE, rel=1e-8)
         assert res.est_error < 1e-8
 
     def test_shifted_and_direct_weights_agree(self):
         # zeta slightly above and below 0 must evaluate continuously
-        f = exponential_product(1)
+        f = gamma_product((1.0,))
         lo = kober2_eval(np.array([1.0]), [DimParams(-1e-9, 1.3)], f).value
         hi = kober2_eval(np.array([1.0]), [DimParams(+1e-9, 1.3)], f).value
         assert lo == pytest.approx(hi, rel=1e-6)
@@ -100,7 +97,7 @@ class TestSecondKind:
 
     def test_semigroup_composition(self):
         for u in (0.5, 1.0, 2.0):
-            composed, direct = self.composed_and_direct(exponential_product(1), 0.6, 0.8, 0.9, u)
+            composed, direct = self.composed_and_direct(gamma_product((1.0,)), 0.6, 0.8, 0.9, u)
             assert composed == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("shape", [1.0, 2.0, 0.5])
@@ -127,7 +124,7 @@ class TestSecondKind:
 class TestFirstKind:
     def test_truncated_moment_case(self):
         # zeta = 1, alpha = 1, exponential f at u = 1
-        res = kober1_eval(np.array([1.0]), [DimParams(1.0, 1.0)], exponential_product(1))
+        res = kober1_eval(np.array([1.0]), [DimParams(1.0, 1.0)], gamma_product((1.0,)))
         assert res.value == pytest.approx(MOMENT_ONE_TRUNC, rel=1e-12)
 
     def test_separability(self):
@@ -149,7 +146,7 @@ class TestFirstKind:
 
     def test_zeta_domain(self):
         with pytest.raises(ParameterError):
-            kober1_eval(np.array([1.0]), [DimParams(0.0, 1.0)], exponential_product(1))
+            kober1_eval(np.array([1.0]), [DimParams(0.0, 1.0)], gamma_product((1.0,)))
 
     def test_far_field_branch_consistency(self):
         # both branches around the switch point must be internally converged
@@ -220,7 +217,7 @@ class TestPathwayOperators:
             pathway_kober1_eval(
                 np.array([1.0]),
                 [PathwayDimParams(1.0, 0.5, 1.0, 0.0)],
-                exponential_product(1),
+                gamma_product((1.0,)),
             )
 
     def test_second_kind_limit_matches_gamma_kernel(self):
@@ -269,11 +266,30 @@ class TestDensityConstants:
         ],
     )
     def test_gamma_ratio_values(self, theorem, params, expected):
-        assert density_constant(theorem, params) == pytest.approx(expected, rel=1e-13)
+        assert math.exp(identity_setup(theorem, params)[2]) == pytest.approx(expected, rel=1e-13)
 
     def test_unknown_theorem(self):
         with pytest.raises(UsageError):
-            density_constant("3.1", (DimParams(1.0, 1.0),))
+            identity_setup("3.1", (DimParams(1.0, 1.0),))
+
+    @pytest.mark.parametrize("theorem, params", [
+        ("1.1", (DimParams(0.3, 1.5),)),
+        ("1.1", (DimParams(0.1, 1.5),)),
+        ("1.1", (DimParams(1e-17, 1.5),)),
+        ("1.4", (PathwayDimParams(1.0, 0.5, 1.0, 0.3),)),
+    ])
+    def test_setup_dims_are_the_family_records(self, theorem, params):
+        # zeta + 1 - 1 reads 0.30000000000000004, 0.10000000000000009 and 0
+        dims = identity_setup(theorem, params)[1]
+        assert len(dims) == len(params) and all(d is p for d, p in zip(dims, params))
+        assert dims[0].zeta == params[0].zeta
+
+    def test_prediction_is_the_operator_at_the_given_zeta(self):
+        params, f = (DimParams(0.3, 1.5),), gamma_product((2.0,))
+        pts = np.array([[0.05], [0.7], [1.3], [4.0], [12.0]])
+        log_c = identity_setup("1.1", params)[2]
+        want = eval_many("second", params, f, pts, log_shift=log_c)
+        assert np.array_equal(predicted_density("1.1", params, f, pts), want)
 
     @pytest.mark.parametrize("theorem", ["1.1", "1.2", "1.3", "1.4", "2.1", "2.3", "2.4", "2.5"])
     def test_predicted_density_normalizes(self, theorem):
@@ -290,19 +306,19 @@ class TestDensityConstants:
 
 class TestEvaluationPlumbing:
     def test_refinement_estimate_bounds_error(self):
-        f = exponential_product(1)
+        f = gamma_product((1.0,))
         res = kober1_eval(np.array([1.0]), [DimParams(1.0, 1.0)], f, n=16)
         true_err = abs(res.value - MOMENT_ONE_TRUNC)
         assert true_err <= max(res.est_error * 10.0, 1e-12)
 
     def test_point_domain(self):
-        f = exponential_product(1)
+        f = gamma_product((1.0,))
         with pytest.raises(DomainError):
             kober2_eval(np.array([-1.0]), [DimParams(0.5, 1.0)], f)
 
     @pytest.mark.parametrize("u", [np.inf, np.nan])
     def test_points_must_be_finite(self, u):
-        f = exponential_product(1)
+        f = gamma_product((1.0,))
         with pytest.raises(DomainError, match="finite and positive"):
             kober2_eval(np.array([u]), [DimParams(0.5, 1.5)], f)
         with pytest.raises(DomainError, match="finite and positive"):
@@ -569,14 +585,15 @@ class TestRefinedPass:
     """A refined evaluation builds and sums its n- and 2n-node rules in one
     pass; its value and error are bit for bit those of one pass per size."""
 
-    # classical, pathway and scaled dimensions per kind, and a point per
-    # regime (second: near field, plain, plain far out; first: plain near
-    # 0, plain, far field); c = 1.125, 1.125 and 0.5, 0.8
+    # classical and pathway dimensions per kind, and a point per regime
+    # (second: near field, plain, plain far out; first: plain near 0,
+    # plain, far field); the second kind has a negative zeta with c =
+    # 1.125 and with alpha = 0.7, the first kind c = 0.5 and 0.8
     DIMS = {
-        "second": (DimParams(0.5, 1.5), PathwayDimParams(1.5, 0.25, 2.0, 0.8),
-                   ScaledDimParams(-0.3, 0.7, 1.125)),
+        "second": (DimParams(0.5, 1.5), PathwayDimParams(1.5, 0.25, 2.0, -0.3),
+                   DimParams(-0.3, 0.7)),
         "first": (DimParams(1.5, 1.0), PathwayDimParams(1.0, 0.5, 1.0, 1.5),
-                  ScaledDimParams(1.2, 1.3, 0.8)),
+                  PathwayDimParams(1.6, 0.5, 0.15, 1.2)),
     }
     REGIMES = {"second": (0.01, 1.3, 30.0), "first": (1e-3, 1.3, 1e3)}
     EVAL = {"second": kober2_eval, "first": kober1_eval}

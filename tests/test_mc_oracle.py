@@ -18,7 +18,6 @@ from ekstat.kober import (
     MultiDensity,
     _eval_parts,
     eval_many,
-    exponential_product,
     gamma_product,
     identity_record,
     identity_setup,
@@ -40,7 +39,7 @@ from ekstat.transforms import forward, inverse
 class TestSimulate:
     def test_product_construction_mean(self):
         # uniform mixing times unit exponential: E[u] = 1/2
-        spec = make_spec("1.1", 1, params=(DimParams(0.0, 1.0),), f=exponential_product(1))
+        spec = make_spec("1.1", 1, params=(DimParams(0.0, 1.0),), f=gamma_product((1.0,)))
         n = 10**5
         u = simulate(spec, n, seed=17).data[:, 0]
         se = math.sqrt(u.var() / n)
@@ -198,7 +197,7 @@ class TestVerify:
         # u = x v is the integral of v^-1 e^-v over (u, inf); frozen from
         # the alternating series at u = 0.5
         e1_half = 0.5597735947761608
-        spec = make_spec("1.1", 1, params=(DimParams(0.0, 1.0),), f=exponential_product(1))
+        spec = make_spec("1.1", 1, params=(DimParams(0.0, 1.0),), f=gamma_product((1.0,)))
         from ekstat.kober import predicted_density
 
         pred = predicted_density("1.1", spec.params, spec.f, np.array([[0.5]]))[0]

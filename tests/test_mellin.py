@@ -11,8 +11,6 @@ from ekstat.kober import (
     IDENTITY_IDS,
     DimParams,
     MultiDensity,
-    ScaledDimParams,
-    exponential_product,
     gamma_product,
     identity_setup,
     operator_image,
@@ -32,17 +30,17 @@ RATIO_HALF = 0.22155673136318954
 
 class TestMellinNumeric:
     def test_gamma_integral_identity(self):
-        res = mellin_numeric(exponential_product(1), 2.0)
+        res = mellin_numeric(gamma_product((1.0,)), 2.0)
         assert res.value.real == pytest.approx(1.0, rel=1e-8)
         assert abs(res.value.imag) < 1e-12
         assert res.converged
 
     def test_half_integer_point(self):
-        res = mellin_numeric(exponential_product(1), 0.5)
+        res = mellin_numeric(gamma_product((1.0,)), 0.5)
         assert res.value.real == pytest.approx(SQRT_PI, rel=1e-8)
 
     def test_two_dim_product(self):
-        res = mellin_numeric(exponential_product(2), np.array([2.0, 3.0]))
+        res = mellin_numeric(gamma_product((1.0, 1.0)), np.array([2.0, 3.0]))
         assert res.value.real == pytest.approx(2.0, rel=1e-8)
 
     def test_conjugate_symmetry(self):
@@ -60,7 +58,7 @@ class TestMellinNumeric:
 
     def test_divergent_point_flags_nonconvergence(self):
         # integral of u^(s-1) e^-u diverges at s = -0.2
-        res = mellin_numeric(exponential_product(1), -0.2)
+        res = mellin_numeric(gamma_product((1.0,)), -0.2)
         assert res.converged is False
 
     def test_overflow_raises(self):
@@ -111,10 +109,10 @@ class TestMellinRatio:
     def test_support_factor_scales_the_classical_multiplier(self, kind, zeta, power):
         # the operator with support factor c is the classical one at c*u
         # (second kind) or u/c (first kind), times c^-zeta or c^-(zeta+1)
-        c, s = 2.5, np.array([1.25 + 0.5j])
-        classical = kober_mellin_ratio(kind, [DimParams(zeta, 0.7)], s)
-        scaled = kober_mellin_ratio(kind, [ScaledDimParams(zeta, 0.7, c)], s)
-        assert scaled == pytest.approx(classical * c ** power(zeta, s[0]), rel=1e-14)
+        p, s = PathwayDimParams(5.0, 0.5, 0.35, zeta), np.array([1.25 + 0.5j])  # c = 2.5
+        classical = kober_mellin_ratio(kind, [DimParams(zeta, p.beta_law[1])], s)
+        scaled = kober_mellin_ratio(kind, [p], s)
+        assert scaled == pytest.approx(classical * p.scale_factor ** power(zeta, s[0]), rel=1e-14)
 
     def test_pole_detection_names_dimension(self):
         with pytest.raises(PoleError) as info:
@@ -141,7 +139,7 @@ class TestDefaultGrid:
 
 class TestFactorizationCheck:
     def test_second_kind_exponential_single_point(self):
-        f = exponential_product(1)
+        f = gamma_product((1.0,))
         rep = mellin_factorization_check(
             "second", [DimParams(0.5, 1.5)], f, s_grid=[np.array([2.0])]
         )
