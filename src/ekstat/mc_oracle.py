@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+import threading
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -37,8 +38,9 @@ from .kober import (
     identity_record,
     identity_setup,
 )
+from . import streams
 from .quadrature import DEFAULT_NODES
-from .streams import map_rows
+from .streams import draw_blocks, map_rows
 
 
 def _removed_sampler(*args, **kwargs):
@@ -131,15 +133,9 @@ def make_spec(theorem: str, k: int, params=None, f: MultiDensity | None = None) 
 # simulation
 # ---------------------------------------------------------------------------
 
-def simulate(spec: TheoremSpec, n: int, seed: int, workers: int = 1) -> SampleMatrix:
-    """Draws of the combined vector u, exactly per the identity's construction.
-
-    Each block of rows draws the mixing coordinates y from the identity's
-    mixing law (:meth:`ekstat.kober.Identity.law`) first and then the
-    f-draw v, from the block's generator; u is y * v (second kind) or
-    v / y (first kind).  Every stage is row-wise, so each block runs the
-    whole construction on its own generator.
-    """
+def _row_fn(spec: TheoremSpec):
+    """The row function of :func:`simulate`: ``rows(gen, count)`` draws
+    ``count`` rows of u from one block's generator."""
     if spec.f.from_uniforms is None:
         raise UsageError("the identity's density f carries no sampler")
     law = identity_record(spec.theorem).law(spec.params)
@@ -149,16 +145,47 @@ def simulate(spec: TheoremSpec, n: int, seed: int, workers: int = 1) -> SampleMa
         v = spec.f.from_uniforms(gen, count)
         return y * v if law.kind == "second" else v / y
 
-    return SampleMatrix(map_rows(rows, seed, n, spec.k, workers), seed)
+    return rows
+
+
+def simulate(spec: TheoremSpec, n: int, seed: int, workers: int = 1) -> SampleMatrix:
+    """Draws of the combined vector u, exactly per the identity's construction.
+
+    Each block of rows draws the mixing coordinates y from the identity's
+    mixing law (:meth:`ekstat.kober.Identity.law`) first and then the
+    f-draw v, from the block's generator; u is y * v (second kind) or
+    v / y (first kind).  Every stage is row-wise, so each block runs the
+    whole construction on its own generator.  A sample over the budget of
+    :func:`ekstat.streams.map_rows` is refused (SizeError) before drawing.
+    """
+    return SampleMatrix(map_rows(_row_fn(spec), seed, n, spec.k, workers), seed)
 
 
 # ---------------------------------------------------------------------------
 # histogram estimation
 # ---------------------------------------------------------------------------
 
-def _sorted_columns(data) -> list[np.ndarray]:
-    """Each column of the (n, k) sample sorted ascending, NaN last."""
-    return [np.sort(data[:, j]) for j in range(data.shape[1])]
+# the probe grid and bandwidths come from the first 64 blocks of rows (2^20
+# rows): every n up to that sorts all its rows, and a larger sample is
+# never held whole for the probes
+_PILOT_BLOCKS = 64
+# rows per range of the box counts: each range's temporaries stay a few
+# hundred kB, whatever the sample size
+_COUNT_ROWS = 1 << 16
+
+
+def _pilot_rows() -> int:
+    return _PILOT_BLOCKS * streams._CHUNK_ROWS
+
+
+def _sorted_columns(data):
+    """Each column of the pilot rows (the first ``_pilot_rows()`` rows of
+    the (n, k) sample) sorted ascending, NaN last, one column at a time: a
+    generator, so a caller that drops each column before asking for the
+    next holds one sorted column at most."""
+    pilot = data[:_pilot_rows()]
+    for j in range(data.shape[1]):
+        yield np.sort(pilot[:, j])
 
 
 _SIGN_BIT = 1 << 63
@@ -208,7 +235,93 @@ def _check_rows(n: int) -> None:
         raise UsageError("histogram estimation needs at least 1e4 samples")
 
 
-def histogram_estimate(samples, probes, bandwidths, *, _sorted_cols=None):
+def _box_plan(probes, h):
+    """The count plan of the probes' boxes.
+
+    A row x lies in probe p's box when ``abs(x_j - p_j) <= h_j / 2`` in
+    every dimension j.  Each distinct (j, p_j) becomes float edges with
+    ``lo <= x_j <= hi`` exactly when that test holds (:func:`_box_edges`),
+    so NaN and infinite coordinates are never counted.  The plan lists one
+    slab per distinct first coordinate: its edges, the probes that share
+    it, and the plan of the later dimensions for those probes (None at the
+    last dimension).
+    """
+    k = probes.shape[1]
+    lo, hi = np.empty_like(probes), np.empty_like(probes)
+    group = np.empty(probes.shape, dtype=np.intp)
+    for j in range(k):
+        coords, group[:, j] = np.unique(probes[:, j], return_inverse=True)
+        edges = np.array([_box_edges(float(c), float(h[j] / 2.0)) for c in coords]).reshape(-1, 2)
+        lo[:, j], hi[:, j] = edges[group[:, j]].T
+
+    def slabs(idx, j):
+        plan = []
+        for g in np.unique(group[idx, j]):
+            sel = idx[group[idx, j] == g]
+            plan.append((lo[sel[0], j], hi[sel[0], j], sel,
+                         slabs(sel, j + 1) if j + 1 < k else None))
+        return plan
+
+    return slabs(np.arange(probes.shape[0]), 0)
+
+
+def _add_counts(rows, plan, counts) -> None:
+    """Add to ``counts[i]`` the rows of the (m, k) range ``rows`` inside
+    box i of ``plan`` (:func:`_box_plan`): each slab's rows are picked by
+    one pass over the range, and each later dimension is tested on the
+    rows kept so far only."""
+    def count(cols, plan):
+        col = cols[0]
+        # two masks per level, reused by its slabs
+        inside, below = np.empty(len(col), bool), np.empty(len(col), bool)
+        for lo, hi, sel, later in plan:
+            np.greater_equal(col, lo, out=inside)
+            np.less_equal(col, hi, out=below)
+            np.logical_and(inside, below, out=inside)
+            if later is None:
+                counts[sel] += np.count_nonzero(inside)
+            else:
+                kept = np.flatnonzero(inside)
+                count([c[kept] for c in cols[1:]], later)
+
+    # the first column contiguous: every slab passes over it
+    count([np.ascontiguousarray(rows[:, 0])] + [rows[:, j] for j in range(1, rows.shape[1])],
+          plan)
+
+
+def _count_rows(data, plan, counts) -> None:
+    """:func:`_add_counts` over the (n, k) sample, ``_COUNT_ROWS`` rows at a time."""
+    for row in range(0, data.shape[0], _COUNT_ROWS):
+        _add_counts(data[row:row + _COUNT_ROWS], plan, counts)
+
+
+def _nan_rows(data) -> np.ndarray:
+    """NaN rows per column of the (n, k) sample, ``_COUNT_ROWS`` rows at a time."""
+    nan = np.zeros(data.shape[1], dtype=np.int64)
+    for row in range(0, data.shape[0], _COUNT_ROWS):
+        block = np.isnan(data[row:row + _COUNT_ROWS])
+        if block.any():
+            nan += np.count_nonzero(block, axis=0)
+    return nan
+
+
+def _refuse_nan(nan, where: str = "") -> None:
+    """ParameterError naming the first column that holds NaN rows, if any."""
+    for j, count in enumerate(nan.tolist()):
+        if count:
+            raise ParameterError(f"sample column {j} holds {count} NaN rows{where}")
+
+
+def _estimates(counts, n: int, volume: float):
+    """(estimates, standard errors, low-count flags) of box counts out of n rows."""
+    phat = counts / n
+    low = counts == 0
+    phat_se = np.where(low, 1.0 / n, phat)
+    se = np.sqrt(phat_se * (1.0 - phat_se) / n) / volume
+    return phat / volume, se, low
+
+
+def histogram_estimate(samples, probes, bandwidths):
     """Box-kernel density estimates with exact binomial standard errors.
 
     For each probe the estimate is (count inside the axis-aligned box of
@@ -217,14 +330,10 @@ def histogram_estimate(samples, probes, bandwidths, *, _sorted_cols=None):
     error of a single count.
 
     A row x lies in probe p's box when ``abs(x_j - p_j) <= h_j / 2`` in
-    every dimension j.  Each distinct (j, p_j) becomes float edges with
-    ``lo <= x_j <= hi`` exactly when that test holds (:func:`_box_edges`),
-    so NaN and infinite coordinates are never counted.  At k = 1 a count is
-    two binary searches in the sorted column (``_sorted_cols``, the output
-    of :func:`_sorted_columns`, which ``verify`` shares with
-    :func:`default_probes`; sorted here when absent).  At k >= 2 one pass
-    per distinct first coordinate picks that slab's rows, and each further
-    dimension is tested on the rows kept so far only.
+    every dimension j, tested with exact float edges (:func:`_box_plan`),
+    so NaN and infinite coordinates are never counted.  The rows are
+    counted ``_COUNT_ROWS`` at a time and the integer counts added, so no
+    temporary grows with n.
 
     Returns (estimates, standard errors, low-count flags).
     """
@@ -233,52 +342,11 @@ def histogram_estimate(samples, probes, bandwidths, *, _sorted_cols=None):
     h = np.asarray(bandwidths, dtype=float)
     if data.ndim != 2 or probes.shape[1] != data.shape[1] or h.shape != (data.shape[1],):
         raise ShapeError("samples (n,k), probes (P,k) and bandwidths (k,) must agree")
-    n, k = data.shape
+    n = data.shape[0]
     _check_rows(n)
-    volume = float(np.prod(h))
-
-    # edges once per dimension and distinct coordinate; group[i, j] names
-    # probe i's coordinate among dimension j's distinct ones
-    lo, hi = np.empty_like(probes), np.empty_like(probes)
-    group = np.empty(probes.shape, dtype=np.intp)
-    for j in range(k):
-        coords, group[:, j] = np.unique(probes[:, j], return_inverse=True)
-        edges = np.array([_box_edges(float(c), float(h[j] / 2.0)) for c in coords]).reshape(-1, 2)
-        lo[:, j], hi[:, j] = edges[group[:, j]].T
-
-    if k == 1:
-        col = np.sort(data[:, 0]) if _sorted_cols is None else _sorted_cols[0]
-        counts = np.maximum(np.searchsorted(col, hi[:, 0], side="right")
-                            - np.searchsorted(col, lo[:, 0], side="left"), 0)
-    else:
-        counts = np.empty(probes.shape[0], dtype=np.int64)
-
-        def count(cols, idx, j):
-            # cols: dimensions j.. of the sample rows inside dimensions < j
-            # of every box in idx, which share their coordinates there
-            col, later = cols[0], cols[1:]
-            # two masks per level, reused by its boxes: a fresh temporary
-            # per box left about 10 MB more resident at verify's peak
-            inside, below = np.empty(len(col), bool), np.empty(len(col), bool)
-            for g in np.unique(group[idx, j]):
-                sel = idx[group[idx, j] == g]
-                np.greater_equal(col, lo[sel[0], j], out=inside)
-                np.less_equal(col, hi[sel[0], j], out=below)
-                np.logical_and(inside, below, out=inside)
-                if later:
-                    rows = np.flatnonzero(inside)
-                    count([c[rows] for c in later], sel, j + 1)
-                else:
-                    counts[sel] = np.count_nonzero(inside)
-
-        # a contiguous first column: its passes run over every row
-        count([np.ascontiguousarray(data[:, 0])] + [data[:, j] for j in range(1, k)],
-              np.arange(probes.shape[0]), 0)
-    phat = counts / n
-    low = counts == 0
-    phat_se = np.where(low, 1.0 / n, phat)
-    se = np.sqrt(phat_se * (1.0 - phat_se) / n) / volume
-    return phat / volume, se, low
+    counts = np.zeros(probes.shape[0], dtype=np.int64)
+    _count_rows(data, _box_plan(probes, h), counts)
+    return _estimates(counts, n, float(np.prod(h)))
 
 
 def _linear_quantiles(col, levels):
@@ -302,22 +370,26 @@ def _linear_quantiles(col, levels):
     return out
 
 
-def default_probes(samples, *, _sorted_cols=None):
-    """Interior probe grid and box bandwidths from sample quantiles.
+def default_probes(samples):
+    """Interior probe grid and box bandwidths from the pilot rows' quantiles.
 
     Probes sit at the 10..90 percent quantiles per dimension (tensor grid);
     bandwidths are a dimension-count-dependent fraction of the central 90
-    percent range.  The quantiles are ``np.quantile``'s, read off the
-    sorted columns (``_sorted_cols``, as from :func:`_sorted_columns`;
-    sorted here when absent).
+    percent range.  Only the pilot rows are read: the first 2^20 (64 blocks
+    of ``streams._CHUNK_ROWS``), so every row of a sample up to that size.
+    The quantiles are ``np.quantile``'s, read off each pilot column sorted
+    in turn (:func:`_sorted_columns`), and each column is dropped before
+    the next is sorted.
     """
     data = samples.data if isinstance(samples, SampleMatrix) else np.asarray(samples, dtype=float)
     k = data.shape[1]
     if k not in _BANDWIDTH_FRAC:
         raise SizeError(f"probe grids support at most {MAX_VERIFY_DIM} dimensions")
-    cols = _sorted_columns(data) if _sorted_cols is None else _sorted_cols
+    cols = _sorted_columns(data)
     levels = np.concatenate([_PROBE_LEVELS, [0.05, 0.25, 0.75, 0.95]])
-    qs = np.stack([_linear_quantiles(col, levels) for col in cols], axis=-1)
+    qs = np.empty((len(levels), k))
+    for j in range(k):   # no name keeps a column while the next one is sorted
+        qs[:, j] = _linear_quantiles(next(cols), levels)
     qs, (lo, q25, q75, hi) = qs[:-4], qs[-4:]     # (levels, k), 4 x (k,)
     # robust scale: the central 90% range unless the tails dominate it
     scale = np.minimum(hi - lo, 2.7 * (q75 - q25))
@@ -486,34 +558,57 @@ def _box_average(kind, dims, f, probes, bandwidths, n_nodes, log_shift, memo=Non
     return out
 
 
+def _count_later_blocks(spec: TheoremSpec, seed: int, start: int, n: int, workers: int,
+                        plan, counts) -> np.ndarray:
+    """Draw rows [start, n) of ``simulate(spec, n, seed)`` block by block,
+    add each block's box counts (boxes of ``plan``, :func:`_box_plan`) to
+    ``counts`` on the thread that drew it, and return the NaN rows per
+    column.  Each thread holds the block in hand, never the sample."""
+    nan = np.zeros(spec.k, dtype=np.int64)
+    lock = threading.Lock()
+
+    def tally(row, rows):
+        block_nan, block_counts = _nan_rows(rows), np.zeros_like(counts)
+        _add_counts(rows, plan, block_counts)
+        with lock:
+            nan[:] += block_nan
+            counts[:] += block_counts
+
+    draw_blocks(_row_fn(spec), seed, start, n, spec.k, tally, workers)
+    return nan
+
+
+def _probe_points(grid, probes):
+    """The probes to score: the default ``grid`` unless the user gave some,
+    which must lie in the open positive orthant."""
+    points = grid if probes is None else np.atleast_2d(np.asarray(probes, dtype=float))
+    if not np.all((points > 0.0) & (points < np.inf)):
+        raise ParameterError("probes must be finite and lie in the interior of the positive orthant")
+    return points
+
+
 def _sample_counts(samples: SampleMatrix, probes):
     """(probes, bandwidths, box counts) for ``verify``: the part that depends
     on the sample alone.
 
-    The first call sorts the columns, once for the probe grid and the k = 1
-    counts, and keeps the default grid and bandwidths on ``samples._memo``;
-    the counts at that grid are kept the first time ``probes`` is None.  A
-    negative control on the same draws then only scores its predictions.
-    User ``probes`` are counted per call.  Nothing n-sized is kept.
+    The first call refuses NaN rows, then takes the default grid and
+    bandwidths from the pilot rows, one sorted column at a time, and keeps
+    them on ``samples._memo``; the counts at that grid are kept the first
+    time ``probes`` is None, so a negative control on the same draws only
+    scores its predictions.  User ``probes`` are counted per call.  Nothing
+    n-sized is kept or made beyond one sorted pilot column.
     """
     _check_rows(samples.n)
     memo = samples._memo
-    cols = None
     if "grid" not in memo:
-        cols = _sorted_columns(samples.data)
-        for j, col in enumerate(cols):
-            if np.isnan(col[-1]):     # NaN sorts last
-                raise ParameterError(f"sample column {j} holds "
-                                     f"{len(col) - np.searchsorted(col, np.nan)} NaN rows")
-        memo["grid"], memo["bandwidths"] = default_probes(samples, _sorted_cols=cols)
+        _refuse_nan(_nan_rows(samples.data))
+        memo["grid"], memo["bandwidths"] = default_probes(samples)
     grid, bandwidths = memo["grid"], memo["bandwidths"]
-    points = grid if probes is None else np.atleast_2d(np.asarray(probes, dtype=float))
-    if not np.all((points > 0.0) & (points < np.inf)):
-        raise ParameterError("probes must be finite and lie in the interior of the positive orthant")
+    points = _probe_points(grid, probes)
     if probes is not None:
-        return points, bandwidths, histogram_estimate(samples, points, bandwidths, _sorted_cols=cols)
+        return points, bandwidths, histogram_estimate(samples, points, bandwidths)
     if "counts" not in memo:
-        memo["counts"] = histogram_estimate(samples, grid, bandwidths, _sorted_cols=cols)
+        memo["counts"] = histogram_estimate(samples, grid, bandwidths)
     return grid, bandwidths, memo["counts"]
 
 
@@ -535,9 +630,19 @@ def verify(
     coordinates and no NaN) to reuse draws across policy variations: its
     probe grid, bandwidths and box counts, and each reading's operator sums
     at the box nodes, are computed once per sample and kept on it, so a
-    later call on the same object only rescales its predictions.
+    later call on the same object only rescales its predictions.  Beyond
+    the sample, it holds one sorted pilot column and a range of rows.
     Box bandwidths always come from :func:`default_probes`, also for user
     ``probes``, whose boxes are counted per call.
+
+    Without ``samples``, fewer than 1e4 ``n_samples`` are refused before
+    drawing.  The pilot rows (the first 2^20) are drawn by :func:`simulate`;
+    each later block is drawn with the same row function and generator and
+    counted on its worker thread, so the call holds the pilot and one block
+    per thread, never the whole sample, and its report equals that of
+    ``verify(spec, samples=simulate(spec, n_samples, seed, workers))``.
+    NaN in the pilot is refused before the later blocks are drawn, with the
+    count of the pilot rows alone.
     """
     if spec.k > MAX_VERIFY_DIM:
         raise SizeError(f"verification supports at most {MAX_VERIFY_DIM} dimensions")
@@ -545,7 +650,8 @@ def verify(
         raise ParameterError(f"constant_scale must be finite and positive, got {constant_scale}")
     check_nodes(n_nodes)
     if samples is None:
-        samples = simulate(spec, n_samples, seed, workers)
+        _check_rows(n_samples)
+        samples = simulate(spec, min(n_samples, _pilot_rows()), seed, workers)
     else:
         if samples.dim != spec.k:
             raise ShapeError(f"samples have {samples.dim} coordinates but identity "
@@ -554,7 +660,18 @@ def verify(
         seed = samples.seed
     # the default grid's box averages keep their operator parts on the sample
     memo = samples._memo.setdefault("parts", {}) if probes is None else None
-    probes, bandwidths, (empirical, se, low) = _sample_counts(samples, probes)
+    if n_samples > samples.n:
+        # the pilot rows of a sample whose later blocks are counted as drawn
+        _refuse_nan(_nan_rows(samples.data), f" in its first {samples.n} rows")
+        grid, bandwidths = default_probes(samples)
+        probes = _probe_points(grid, probes)
+        plan = _box_plan(probes, bandwidths)
+        counts = np.zeros(probes.shape[0], dtype=np.int64)
+        _count_rows(samples.data, plan, counts)
+        _refuse_nan(_count_later_blocks(spec, seed, samples.n, n_samples, workers, plan, counts))
+        empirical, se, low = _estimates(counts, n_samples, float(np.prod(bandwidths)))
+    else:
+        probes, bandwidths, (empirical, se, low) = _sample_counts(samples, probes)
     scored = {}
 
     def score(setup):  # a reading equal to the identity's own is scored once

@@ -1,14 +1,17 @@
 """Counter-based random streams with reproducible worker splits.
 
 All samplers in this library draw their randomness through
-:func:`map_rows`, which cuts the rows of a sample into fixed blocks of
+:func:`draw_blocks`, which cuts the rows of a sample into fixed blocks of
 ``_CHUNK_ROWS`` rows, counted from row 0, and gives block b its own
 generator: ``Philox(key=seed)`` jumped b times, so blocks never share
 random numbers and each block can be drawn on its own.  :func:`run_rows`
 runs the blocks on contiguous ranges of whole blocks in a thread pool, at
-most one thread per CPU, each block writing into a preallocated output, so
-the result equals the single-worker output exactly, row for row, for any
-worker count.
+most one thread per CPU.  Each block is handed to a consumer on the thread
+that drew it: :func:`map_rows` writes it into a preallocated table, so the
+table equals the single-worker output exactly, row for row, for any worker
+count; a consumer that only tallies the block (``verify`` counting boxes)
+holds one block per thread and never the sample.  A table above
+``_SAMPLE_BUDGET`` bytes is refused before it is allocated.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import EmptyRequestError, ParameterError, ShapeError
+from .errors import EmptyRequestError, ParameterError, ShapeError, SizeError
 
 WORKERS_ENV_VAR = "EKSTAT_WORKERS"
 
@@ -65,7 +68,8 @@ def run_rows(fn, n_rows: int, workers: int = 1) -> None:
 
     At most ``workers`` threads run, and never more than the CPUs this
     process may use or than there are blocks.  ``fn`` writes its rows into
-    outputs the caller preallocated, so the split leaves no trace in them.
+    outputs the caller preallocated, or adds them into integer tallies, so
+    the split leaves no trace in its results.
     """
     if n_rows < 1:
         raise EmptyRequestError("at least one row must be requested")
@@ -87,25 +91,52 @@ def run_rows(fn, n_rows: int, workers: int = 1) -> None:
         list(pool.map(run, bounds[:-1], bounds[1:]))
 
 
-def map_rows(fn, seed: int, n_rows: int, width: int, workers: int = 1) -> np.ndarray:
-    """(n_rows, width) array whose rows in block b are ``fn(gen, count)``,
-    with ``count`` the block's rows and ``gen`` a generator on
-    ``Philox(key=seed)`` jumped b times; the blocks run on :func:`run_rows`.
+# the largest table map_rows allocates: 1 GiB, an eighth of an 8 GB machine
+_SAMPLE_BUDGET = 1 << 30
 
-    ShapeError if ``fn`` returns anything but (count, width), which numpy
-    would otherwise broadcast over the block (one row repeated, say)."""
+
+def draw_blocks(fn, seed: int, start: int, stop: int, width: int, use, workers: int = 1) -> None:
+    """Call ``use(row, rows)`` for each block of rows in [start, stop), with
+    ``rows = fn(gen, count)``, ``count`` the block's rows and ``gen`` a
+    generator on ``Philox(key=seed)`` jumped b times for block b, counted
+    from row 0; the blocks run on :func:`run_rows`, and ``use`` runs on the
+    drawing thread.
+
+    ``start`` is a block boundary, so the rows are those of a table drawn
+    from row 0.  ShapeError if ``fn`` returns anything but (count, width),
+    which numpy would otherwise broadcast over the block (one row repeated,
+    say)."""
     if not 0 <= seed < 2**64:
         raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")
+    if start % _CHUNK_ROWS:
+        raise ValueError(f"row {start} is not a block boundary")
     bits = np.random.Philox(key=seed)
-    out = np.empty((max(n_rows, 0), width))
 
-    def fill(start, count):
-        gen = np.random.Generator(bits.jumped(start // _CHUNK_ROWS))
-        rows = fn(gen, count)
+    def block(offset, count):
+        row = start + offset
+        rows = fn(np.random.Generator(bits.jumped(row // _CHUNK_ROWS)), count)
         if np.shape(rows) != (count, width):
             raise ShapeError(f"row function returned shape {np.shape(rows)} for a block "
                              f"of {count} rows and {width} columns")
-        out[start:start + count] = rows
+        use(row, rows)
 
-    run_rows(fill, n_rows, workers)
+    run_rows(block, stop - start, workers)
+
+
+def map_rows(fn, seed: int, n_rows: int, width: int, workers: int = 1) -> np.ndarray:
+    """(n_rows, width) array whose rows in block b are ``fn(gen, count)``,
+    drawn by :func:`draw_blocks`.
+
+    SizeError, before anything is allocated, when the table would take
+    more than ``_SAMPLE_BUDGET`` bytes."""
+    nbytes = max(n_rows, 0) * width * 8
+    if nbytes > _SAMPLE_BUDGET:
+        raise SizeError(f"a table of {n_rows} rows and {width} columns takes {nbytes} bytes, "
+                        f"over the sample budget of {_SAMPLE_BUDGET} bytes")
+    out = np.empty((max(n_rows, 0), width))
+
+    def put(row, rows):
+        out[row:row + len(rows)] = rows
+
+    draw_blocks(fn, seed, 0, n_rows, width, put, workers)
     return out

@@ -363,6 +363,12 @@ class TestSample:
     def test_unknown_family(self):
         assert run_cli(["sample", "--family", "zeta:1"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("family,n", [("gamma:2", 2 * 10**8), ("dirichlet:1,2;3", 10**8)])
+    def test_sample_over_budget_exits_two(self, family, n, capsys):
+        # 1.6e9 bytes of draws is refused before anything is allocated
+        assert run_cli(["sample", "--family", family, "--n", str(n)]) == cli.EXIT_USAGE
+        assert "over the sample budget" in capsys.readouterr().err
+
 
 class TestConfigLayering:
     def test_config_file_overrides_defaults_and_flags_override_config(self, tmp_path):

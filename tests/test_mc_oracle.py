@@ -407,6 +407,89 @@ class TestSampleCounts:
             verify(make_spec("1.1", 1), samples=samples)
 
 
+class TestStreamedVerify:
+    """``verify`` without ``samples`` draws the pilot rows through
+    ``simulate`` and counts each later block as it is drawn."""
+
+    @staticmethod
+    def _nan_after(blocks):
+        """1.3 at k = 2 whose f-draws put NaN in column 1 of three rows of
+        every block after the first ``blocks`` (drawn in order, one worker)."""
+        f = default_density(2)
+        calls = itertools.count()
+
+        def draw(gen, count):
+            v = f.from_uniforms(gen, count)
+            if next(calls) >= blocks:
+                v[:3, 1] = np.nan
+            return v
+        return make_spec("1.3", 2, f=dataclasses.replace(f, from_uniforms=draw))
+
+    def test_nan_rows_beyond_the_pilot_raise_on_both_paths(self, monkeypatch):
+        # five blocks, the pilot two of them, NaN in the last three: the
+        # count names every NaN row of the sample on both paths
+        monkeypatch.setattr(mc_oracle, "_PILOT_BLOCKS", 2)
+        n = 4 * (1 << 14) + 100
+        with pytest.raises(ParameterError, match="column 1 holds 9 NaN rows$"):
+            verify(self._nan_after(2), n_samples=n, seed=3)
+        samples = simulate(self._nan_after(2), n, seed=3)
+        with pytest.raises(ParameterError, match="column 1 holds 9 NaN rows$"):
+            verify(self._nan_after(2), samples=samples)
+
+    def test_nan_in_the_pilot_raises_before_later_draws(self, monkeypatch):
+        # NaN in every block: the streamed path stops at the pilot's count,
+        # the whole sample's names all 15
+        monkeypatch.setattr(mc_oracle, "_PILOT_BLOCKS", 2)
+        monkeypatch.setattr(mc_oracle, "_count_later_blocks", None)
+        n = 4 * (1 << 14) + 100
+        with pytest.raises(ParameterError, match="column 1 holds 6 NaN rows in its first 32768 rows"):
+            verify(self._nan_after(0), n_samples=n, seed=3)
+        samples = simulate(self._nan_after(0), n, seed=3)
+        with pytest.raises(ParameterError, match="column 1 holds 15 NaN rows$"):
+            verify(self._nan_after(0), samples=samples)
+
+    @pytest.mark.parametrize("n", [5000, 0, -3])
+    def test_short_sample_raises_before_drawing(self, n, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("simulate called")
+
+        monkeypatch.setattr(mc_oracle, "simulate", no_draws)
+        with pytest.raises(UsageError, match="at least 1e4 samples"):
+            verify(make_spec("1.1", 1), n_samples=n)
+
+    def test_sample_path_holds_one_sorted_column(self):
+        # beyond the sample itself: one sorted column and a range of rows
+        spec = make_spec("1.3", 2)
+        n = 2 * 10**5
+        verify(spec, samples=simulate(spec, n, seed=80))    # caches outside the measurement
+        samples = simulate(spec, n, seed=81)
+        tracemalloc.start()
+        try:
+            verify(spec, samples=samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 8 + 2**20, f"peak {peak} bytes"
+
+    def test_streamed_path_holds_the_pilot_and_a_block(self, monkeypatch):
+        # u alone is 16 MB; the pilot of 2^15 rows is 0.5 MB
+        monkeypatch.setattr(mc_oracle, "_PILOT_BLOCKS", 2)
+        spec = make_spec("1.3", 2)
+        verify(spec, n_samples=10**5, seed=82)     # caches outside the measurement
+        tracemalloc.start()
+        try:
+            report = verify(spec, n_samples=10**6, seed=83)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_samples == 10**6 and report.passed
+        assert peak < 4 * 2**20, f"peak {peak} bytes"
+
+    def test_simulate_over_budget_refused(self):
+        with pytest.raises(SizeError, match="over the sample budget"):
+            simulate(make_spec("1.1", 3), 2**26, seed=0)
+
+
 class TestAdjudication:
     def test_gen_dirichlet_candidates_differ_and_derivation_wins(self):
         spec = make_spec("1.3", 2)

@@ -3,7 +3,7 @@ import pytest
 
 import ekstat.streams as streams
 from ekstat.densities import beta_product_draws
-from ekstat.errors import EmptyRequestError, ParameterError, ShapeError
+from ekstat.errors import EmptyRequestError, ParameterError, ShapeError, SizeError
 from ekstat.streams import default_workers, map_rows, run_rows
 
 
@@ -90,6 +90,31 @@ def test_bad_slice():
     for rows in (lambda count: 1, lambda count: count - 1, lambda count: count + 1):
         with pytest.raises(ShapeError, match="block of 10 rows"):
             map_rows(lambda gen, count: gen.random((rows(count), 2)), 1, 10, 2)
+
+
+def test_table_over_budget_refused_before_allocating(monkeypatch):
+    # one row over 2^30 bytes at width 1, and a width-3 table of 2^26 rows
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("table allocated")
+
+    monkeypatch.setattr(streams.np, "empty", no_alloc)
+    for n_rows, width in ((2**27 + 1, 1), (2**26, 3)):
+        with pytest.raises(SizeError, match=f"{n_rows * width * 8} bytes.* {2**30} bytes"):
+            map_rows(_gammas, 1, n_rows, width)
+
+
+def test_blocks_from_a_later_start_are_the_table_rows(monkeypatch):
+    # blocks drawn from a block boundary on are the rows of the full table,
+    # each handed over once, on any worker count
+    monkeypatch.setattr(streams, "_CHUNK_ROWS", 100)
+    full = map_rows(_gammas, 9, 1050, 3)
+    for workers in (1, 3):
+        got = {}
+        streams.draw_blocks(_gammas, 9, 300, 1050, 3, got.__setitem__, workers)
+        assert sorted(got) == list(range(300, 1050, 100))
+        assert np.array_equal(np.concatenate([got[r] for r in sorted(got)]), full[300:])
+    with pytest.raises(ValueError, match="block boundary"):
+        streams.draw_blocks(_gammas, 9, 150, 1050, 3, got.__setitem__)
 
 
 class _RecordingPool:
